@@ -19,6 +19,7 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -580,11 +581,13 @@ class VerifiedCatalog:
     issued_at: int
     assets: tuple[VerifiedAsset, ...]
 
+    @cached_property
+    def _by_id(self) -> dict[str, VerifiedAsset]:
+        # Reversed, so the first of any duplicate ids wins.
+        return {a.asset.asset_id: a for a in reversed(self.assets)}
+
     def get(self, asset_id: str) -> Optional[VerifiedAsset]:
-        for asset in self.assets:
-            if asset.asset.asset_id == asset_id:
-                return asset
-        return None
+        return self._by_id.get(asset_id)
 
 
 @dataclass(frozen=True)
@@ -782,6 +785,10 @@ class FileProviderStore:
                 provider._sessions[session.session_id] = session
                 if session.agreement is not None:
                     provider._agreements[session.agreement.agreement_id] = session.session_id
+                # Every request leaves one session, so the count per
+                # (asset, consumer) is the next sequence number.
+                pair = (session.asset_id, session.consumer_id)
+                provider._session_seq[pair] = provider._session_seq.get(pair, 0) + 1
         return provider
 
     def exists(self) -> bool:

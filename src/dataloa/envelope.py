@@ -17,14 +17,18 @@ bytes of the object with its ``signature`` field removed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import re
+import threading
 import uuid
+from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Optional
+from typing import Any, Iterator, Optional
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -128,8 +132,7 @@ class Ed25519Scheme:
 
     def sign(self, secret_hex: str, message: bytes) -> str:
         try:
-            key = Ed25519PrivateKey.from_private_bytes(bytes.fromhex(secret_hex))
-            return key.sign(message).hex()
+            return _ed25519_signing_key(secret_hex).sign(message).hex()
         except (ValueError, TypeError) as exc:
             raise SigningFailure(f"unusable ed25519 secret key: {exc}") from exc
 
@@ -142,11 +145,13 @@ class Ed25519Scheme:
             return False
 
 
+@functools.lru_cache(maxsize=32)
+def _ed25519_signing_key(secret_hex: str) -> Ed25519PrivateKey:
+    """Parsed private key for a hex secret; parsing costs more than signing."""
+    return Ed25519PrivateKey.from_private_bytes(bytes.fromhex(secret_hex))
+
+
 _SCHEMES: dict[str, Ed25519Scheme] = {Ed25519Scheme.name: Ed25519Scheme()}
-
-
-def register_scheme(name: str, scheme) -> None:
-    _SCHEMES[name] = scheme
 
 
 def _scheme_for(alg: str):
@@ -227,14 +232,78 @@ def sign_payload(payload: Any, keypair: KeyPair) -> SignatureEnvelope:
     return SignatureEnvelope(alg=keypair.alg, key_id=keypair.key_id, sig=sig)
 
 
+# ---------------------------------------------------------------------------
+# Verified-signature cache
+# ---------------------------------------------------------------------------
+
+# Entries in the process-wide cache of successful verifications: room
+# for every valid signature of a 2000-asset catalog (about 3000) with
+# space to spare for the other records a process checks meanwhile.
+VERIFIED_CACHE_SIZE = 8192
+
+
+class _VerifiedCache:
+    """Bounded, thread-safe LRU set of successful verifications.
+
+    A signature check is a deterministic function of (alg, public key,
+    message, signature) -- RFC 8032 for Ed25519 -- so a remembered
+    success is the answer the check would give again. Only successes
+    are stored: a failing signature is checked in full every time.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._keys: OrderedDict[bytes, None] = OrderedDict()
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def key(alg: str, public_hex: str, sig_hex: str, message: bytes) -> bytes:
+        """SHA-256 over the JSON array of the four values, so no crafted
+        field can shift bytes into its neighbour."""
+        fields = [alg, public_hex, sig_hex, hashlib.sha256(message).hexdigest()]
+        return hashlib.sha256(json.dumps(fields).encode("ascii")).digest()
+
+    def hit(self, key: bytes) -> bool:
+        """True if ``key`` is held; a hit makes it the most recent."""
+        with self._lock:
+            if key not in self._keys:
+                return False
+            self._keys.move_to_end(key)
+            return True
+
+    def add(self, key: bytes) -> None:
+        with self._lock:
+            self._keys[key] = None
+            self._keys.move_to_end(key)
+            if len(self._keys) > self.maxsize:
+                self._keys.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
+_VERIFIED = _VerifiedCache(VERIFIED_CACHE_SIZE)
+
+
 def verify_payload(payload: Any, envelope: SignatureEnvelope, public_hex: str) -> bool:
     """True iff the envelope signs the canonical bytes of ``payload``.
 
     Any mutation of payload or signature yields False, never an error;
-    only an unregistered algorithm raises.
+    only an unregistered algorithm raises. Successes are remembered in a
+    bounded process-wide cache keyed on the exact bytes checked.
     """
     scheme = _scheme_for(envelope.alg)
-    return scheme.verify(public_hex, canonicalize(payload), envelope.sig)
+    message = canonicalize(payload)
+    # Only hex strings can verify; other types go straight to the scheme.
+    if not (isinstance(public_hex, str) and isinstance(envelope.sig, str)):
+        return scheme.verify(public_hex, message, envelope.sig)
+    key = _VerifiedCache.key(envelope.alg, public_hex, envelope.sig, message)
+    if _VERIFIED.hit(key):
+        return True
+    valid = scheme.verify(public_hex, message, envelope.sig)
+    if valid:
+        _VERIFIED.add(key)
+    return valid
 
 
 # ---------------------------------------------------------------------------

@@ -584,3 +584,38 @@ def test_file_store_round_trip(tmp_path, published, keys, consumer, make_claim):
     payload, declared = reloaded.transfer(outcome.agreement_id)
     assert payload == PAYLOAD
     assert declared == claim.content_hash
+
+
+def test_reloaded_store_opens_fresh_sessions(tmp_path, published, keys, consumer):
+    provider, asset, claim = published
+    store = FileProviderStore(tmp_path / "prov")
+    store.save(provider)
+    outcomes = []
+    for minute in (1, 2):
+        # each CLI call loads the store, negotiates and saves it again
+        reloaded = store.load(keys, clock=lambda: NOW + 60 * minute)
+        transport = LocalProviderTransport(reloaded)
+        vasset = consumer.fetch_catalog(transport).get(asset.asset_id)
+        outcomes.append(consumer.negotiate(transport, vasset))
+        store.save(reloaded)
+    first, second = outcomes
+    assert first.finalized and second.finalized
+    assert first.session.session_id != second.session.session_id
+
+    reloaded = store.load(keys, clock=lambda: NOW)
+    assert set(reloaded.session_states().values()) == {"FINALIZED"}
+    assert len(reloaded.session_states()) == 2
+    for outcome in outcomes:
+        payload, _ = reloaded.transfer(outcome.agreement_id)
+        assert payload == PAYLOAD
+
+
+def test_verified_catalog_get_returns_first_duplicate(published, consumer):
+    provider, asset, _ = published
+    data = provider.catalog().to_dict()
+    twin = {**data["assets"][0], "description": "second copy"}
+    data["assets"].append(twin)
+    catalog = consumer.fetch_catalog(_StubTransport(data))
+    assert catalog.get(asset.asset_id) is catalog.assets[0]
+    assert catalog.get(asset.asset_id).asset.description == "well data"
+    assert catalog.get("no-such-asset") is None
