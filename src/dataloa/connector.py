@@ -120,6 +120,12 @@ class Asset:
         if not self.asset_id:
             raise ValueError("asset_id must be non-empty")
 
+    @cached_property
+    def public_json(self) -> str:
+        """``json.dumps`` of the public view, encoded once per asset: the
+        record is frozen, and a provider serves it on every catalog fetch."""
+        return json.dumps(self.to_dict(public=True))
+
     def to_dict(self, public: bool = True) -> dict:
         data = {
             "asset_id": self.asset_id,
@@ -158,6 +164,15 @@ class Catalog:
             "assets": [a.to_dict(public=public) for a in self.assets],
             "issued_at": self.issued_at,
         }
+
+    def public_json(self) -> str:
+        """``json.dumps(self.to_dict(public=True))``, joined from each
+        asset's cached encoding."""
+        assets = ", ".join(a.public_json for a in self.assets)
+        return (
+            f'{{"provider_id": {json.dumps(self.provider_id)}, '
+            f'"assets": [{assets}], "issued_at": {json.dumps(self.issued_at)}}}'
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +354,9 @@ class InMemoryDataSource:
 class ProviderConnector:
     """Provider-side connector: catalog, negotiations, transfers.
 
-    Catalog mutations copy-on-write the asset map; negotiation steps
-    are serialized per session id, with no lock shared across sessions.
+    Catalog mutations copy-on-write the asset map. One lock guards every
+    other mutation: session ids, and each session's read -> step ->
+    write, so two finalizes of one session cannot both succeed.
     """
 
     def __init__(
@@ -359,7 +375,6 @@ class ProviderConnector:
         self._agreements: dict[str, str] = {}  # agreement_id -> session_id
         self._session_seq: dict[tuple[str, str], int] = {}
         self._mutate_lock = threading.Lock()
-        self._session_locks: dict[str, threading.Lock] = {}
 
     @property
     def actor_id(self) -> str:
@@ -388,7 +403,7 @@ class ProviderConnector:
         asset_id = asset_id or claim.dataset_id
         public_key = self.keys.public_key_for(claim.provider_id)
         if public_key is None or not verify_payload(
-            claim.signing_payload(), claim.signature, public_key
+            claim.canonical_bytes, claim.signature, public_key
         ):
             raise InvalidClaim(f"claim {claim.claim_id} signature did not verify")
         actual_hash = content_hash(payload)
@@ -430,10 +445,6 @@ class ProviderConnector:
         return self._assets.get(asset_id)
 
     # -- negotiation ---------------------------------------------------
-
-    def _lock_for(self, session_id: str) -> threading.Lock:
-        with self._mutate_lock:
-            return self._session_locks.setdefault(session_id, threading.Lock())
 
     def handle_negotiation_request(
         self, asset_id: str, consumer_id: str, policy_hash: str, claim_hash: str
@@ -499,13 +510,10 @@ class ProviderConnector:
         return session
 
     def finalize(self, session_id: str) -> NegotiationSession:
-        lock = self._lock_for(session_id)
-        with lock:
-            session = self.get_session(session_id)
-            session = step(session, NegotiationEvent.FINALIZE)
-            with self._mutate_lock:
-                self._sessions[session_id] = session
-            return session
+        with self._mutate_lock:
+            session = step(self.get_session(session_id), NegotiationEvent.FINALIZE)
+            self._sessions[session_id] = session
+        return session
 
     # -- transfer ------------------------------------------------------
 
@@ -636,7 +644,7 @@ class ConsumerConnector:
             claim_valid = False
             problems.append(f"no known key for claim provider {claim.provider_id}")
         else:
-            claim_valid = verify_payload(claim.signing_payload(), claim.signature, claim_key)
+            claim_valid = verify_payload(claim.canonical_bytes, claim.signature, claim_key)
             if not claim_valid:
                 problems.append(f"claim {claim.claim_id} signature invalid")
 

@@ -288,12 +288,14 @@ _VERIFIED = _VerifiedCache(VERIFIED_CACHE_SIZE)
 def verify_payload(payload: Any, envelope: SignatureEnvelope, public_hex: str) -> bool:
     """True iff the envelope signs the canonical bytes of ``payload``.
 
+    ``payload`` may also be those canonical bytes, already encoded;
+    bytes are never canonicalizable, so the two cannot be confused.
     Any mutation of payload or signature yields False, never an error;
     only an unregistered algorithm raises. Successes are remembered in a
     bounded process-wide cache keyed on the exact bytes checked.
     """
     scheme = _scheme_for(envelope.alg)
-    message = canonicalize(payload)
+    message = payload if isinstance(payload, bytes) else canonicalize(payload)
     # Only hex strings can verify; other types go straight to the scheme.
     if not (isinstance(public_hex, str) and isinstance(envelope.sig, str)):
         return scheme.verify(public_hex, message, envelope.sig)

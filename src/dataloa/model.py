@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import cached_property
 from typing import Collection, Iterable, Mapping, Optional
 
 from .envelope import (
     SignatureEnvelope,
     KeyPair,
+    canonicalize,
+    content_hash,
     derived_id,
     hash_of,
     is_hash_hex,
@@ -154,10 +157,16 @@ class TrustClaim:
             "provider_id": self.provider_id,
         }
 
+    @cached_property
+    def canonical_bytes(self) -> bytes:
+        """Canonical bytes of the signing payload, encoded once per
+        claim: the message its signature covers."""
+        return canonicalize(self.signing_payload())
+
     def canonical_hash(self) -> str:
         """Digest over the claim's canonical bytes (signature excluded);
         attestations bind to this value."""
-        return hash_of(self.signing_payload())
+        return content_hash(self.canonical_bytes)
 
     def to_dict(self) -> dict:
         data = self.signing_payload()

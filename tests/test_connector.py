@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import json
+import sys
 import threading
 
 import pytest
@@ -124,6 +126,20 @@ def _attested(assurance, make_claim, make_manifest, level=2):
     from dataloa.model import Attestation
 
     return claim, Attestation.from_dict(response.attestation)
+
+
+def test_catalog_public_json_is_json_dumps_of_public_dict(provider, assurance,
+                                                         make_claim, make_manifest):
+    """The HTTP catalog body, joined from cached per-asset encodings,
+    is byte-for-byte what encoding the public dict would give."""
+    assert provider.catalog().public_json() == json.dumps(provider.catalog().to_dict())
+    claim, att = _attested(assurance, make_claim, make_manifest)
+    provider.publish(payload=PAYLOAD, description="wells \u00e9\"", claim=claim,
+                     policy=default_policy(), attestations=(att,))
+    provider.publish(payload=PAYLOAD, description="", claim=claim,
+                     policy=default_policy(), asset_id="wells-copy")
+    catalog = provider.catalog()
+    assert catalog.public_json() == json.dumps(catalog.to_dict(public=True))
 
 
 def test_publish_accepts_bound_attestation(provider, assurance, make_claim,
@@ -427,6 +443,25 @@ def test_consumer_ignores_forged_attestation(provider, consumer, assurance,
     assert vasset.ignored[0][1] == "signature-invalid"
 
 
+def test_fetch_canonicalizes_each_claim_once(monkeypatch, published, consumer):
+    from dataloa import envelope, model
+
+    encoded = []
+    real = envelope.canonicalize
+
+    def counting(value):
+        encoded.append(value)
+        return real(value)
+
+    monkeypatch.setattr(model, "canonicalize", counting)
+    monkeypatch.setattr(envelope, "canonicalize", counting)
+    provider, _, claim = published
+    vasset = consumer.fetch_catalog(LocalProviderTransport(provider)).assets[0]
+    assert vasset.claim_valid
+    assert vasset.asset.claim.canonical_hash() == claim.canonical_hash()
+    assert encoded == [claim.signing_payload()]
+
+
 def test_consumer_rejects_malformed_catalog(consumer):
     with pytest.raises(MalformedCatalog):
         consumer.fetch_catalog(_StubTransport({"assets": "not-a-list"}))
@@ -558,6 +593,39 @@ def test_concurrent_negotiations(published, keys):
     session_ids = {o.session.session_id for o, _ in results.values()}
     assert len(session_ids) == 8
     assert set(provider.session_states().values()) == {"FINALIZED"}
+
+
+def test_racing_finalizes_of_one_session_finalize_once(published):
+    provider, asset, _ = published
+    policy_hash = asset.usage_policy.canonical_hash()
+    claim_hash = asset.claim.canonical_hash()
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            session = provider.handle_negotiation_request(
+                asset.asset_id, CONSUMER_ID, policy_hash, claim_hash
+            )
+            barrier = threading.Barrier(2)
+            results = []
+
+            def finalize():
+                barrier.wait(timeout=5)
+                try:
+                    results.append(provider.finalize(session.session_id).state)
+                except IllegalTransition as exc:
+                    results.append(exc)
+
+            threads = [threading.Thread(target=finalize) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=5)
+            assert not any(t.is_alive() for t in threads)
+            assert results.count(NegotiationState.FINALIZED) == 1
+            assert sum(isinstance(r, IllegalTransition) for r in results) == 1
+    finally:
+        sys.setswitchinterval(previous)
 
 
 # -- file-backed provider state ---------------------------------------------

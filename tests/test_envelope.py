@@ -18,6 +18,7 @@ from dataloa.envelope import (
     KeyDirectory,
     KeyPair,
     SignatureEnvelope,
+    canonicalize,
     content_hash,
     derived_id,
     generate_keypair,
@@ -64,6 +65,18 @@ def test_verify_fails_on_payload_mutation():
     payload = {"claim_id": "c-1", "issued_at": 1000}
     envelope = sign_payload(payload, kp)
     assert verify_payload({"claim_id": "c-1", "issued_at": 1001}, envelope, kp.public) is False
+
+
+def test_verify_accepts_the_canonical_bytes(ed25519_calls):
+    kp = generate_keypair("urn:actor:p")
+    payload = {"claim_id": "c-1", "level_claimed": 2}
+    envelope = sign_payload(payload, kp)
+    assert verify_payload(canonicalize(payload), envelope, kp.public) is True
+    assert verify_payload(payload, envelope, kp.public) is True
+    assert ed25519_calls == [True]  # one cache entry for both forms
+    assert verify_payload(json.dumps(payload).encode(), envelope, kp.public) is False
+    with pytest.raises(NonCanonicalizable):
+        canonicalize(canonicalize(payload))
 
 
 def test_verify_fails_on_signature_byte_flip():

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from dataloa.envelope import (
     SignatureEnvelope,
+    canonicalize,
     content_hash,
     generate_keypair,
+    hash_of,
     verify_payload,
 )
 from dataloa.model import (
@@ -116,6 +118,15 @@ def test_claim_canonical_hash_excludes_signature(make_claim, keys, provider_key)
          "signature": {"alg": "ed25519", "key_id": provider_key.key_id, "sig": "11" * 64}}
     )
     assert resigned.canonical_hash() == claim.canonical_hash()
+
+
+def test_claim_canonical_bytes_are_the_signed_message(make_claim, keys):
+    claim = make_claim()
+    assert claim.canonical_bytes == canonicalize(claim.signing_payload())
+    assert claim.canonical_hash() == hash_of(claim.signing_payload())
+    assert verify_payload(
+        claim.canonical_bytes, claim.signature, keys.public_key_for(claim.provider_id)
+    )
 
 
 def test_claim_rejects_bad_content_hash(provider_key):

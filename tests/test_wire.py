@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import socket
+import time
+
 import pytest
 import requests
 
@@ -236,3 +240,83 @@ def test_unreachable_server(published):
     server.stop()
     with pytest.raises(Unreachable):
         HttpProviderTransport(url, timeout=1).get_catalog()
+
+
+# -- malformed requests -----------------------------------------------------
+
+
+def _raw_post(base_url: str, path: str, headers: str, body: bytes) -> tuple[int, dict]:
+    """Send one hand-built POST; return the status and the JSON body.
+
+    The 2 s socket timeout turns a dropped connection or a handler
+    blocked on its read into a test failure instead of a hang.
+    """
+    host, port = base_url.rsplit("/", 1)[1].split(":")
+    with socket.create_connection((host, int(port)), timeout=2) as conn:
+        conn.sendall(
+            f"POST {path} HTTP/1.1\r\nHost: {host}\r\n{headers}\r\n".encode("latin-1")
+            + body
+        )
+        reply = conn.makefile("rb")
+        status = int(reply.readline().split()[1])
+        length = 0
+        while (line := reply.readline()) not in (b"\r\n", b""):
+            name, _, value = line.decode("latin-1").partition(":")
+            if name.lower() == "content-length":
+                length = int(value)
+        return status, json.loads(reply.read(length))
+
+
+def _sized(body: bytes) -> str:
+    return f"Content-Length: {len(body)}\r\n"
+
+
+MALFORMED = {
+    "json-list": (_sized(b"[1, 2]"), b"[1, 2]"),
+    "non-utf8": (_sized(b'{"a": "\xff"}'), b'{"a": "\xff"}'),
+    "length-abc": ("Content-Length: abc\r\n", b"{}"),
+    "length-minus-5": ("Content-Length: -5\r\n", b"{}"),
+    "length-minus-1": ("Content-Length: -1\r\n", b"{}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("path", ["/negotiations", "/audits"])
+def test_malformed_post_gets_400_json(case, path, published, assurance):
+    headers, body = MALFORMED[case]
+    provider, _, _ = published
+    server_cls, actor = (
+        (ProviderHTTPServer, provider) if path == "/negotiations"
+        else (AssuranceHTTPServer, assurance)
+    )
+    with server_cls(actor) as server:
+        status, reply = _raw_post(server.base_url, path, headers, body)
+    assert status == 400
+    assert reply["error"] == "bad_request"
+
+
+# -- transport stalls -------------------------------------------------------
+
+
+def test_server_stop_returns_at_once(published):
+    """stop() does not wait out serve_forever's 0.5 s poll."""
+    provider, _, _ = published
+    for _ in range(10):
+        server = ProviderHTTPServer(provider).start()
+        started = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - started < 0.1
+
+
+def test_small_responses_skip_the_delayed_ack(provider_http):
+    """A response body sent after its headers goes out without waiting
+    for the client's delayed ACK (about 40 ms per round trip)."""
+    http, _, asset, _ = provider_http
+    policy_hash, claim_hash = _hashes(asset)
+    started = time.perf_counter()
+    for _ in range(20):
+        session = http.request_negotiation(
+            asset.asset_id, CONSUMER_ID, policy_hash, claim_hash
+        )
+        assert http.finalize_negotiation(session["session_id"])["state"] == "FINALIZED"
+    assert time.perf_counter() - started < 0.5
