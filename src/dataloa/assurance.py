@@ -236,6 +236,9 @@ class RevocationList:
         self._lock = threading.Lock()
 
     def revoke(self, attestation_id: str, reason: str, now: int) -> None:
+        # Entries are listed sorted by id, which a non-str id would break.
+        if not isinstance(attestation_id, str):
+            raise ValueError("attestation_id must be a string")
         with self._lock:
             if attestation_id not in self._entries:
                 self._entries[attestation_id] = RevocationEntry(

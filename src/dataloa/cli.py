@@ -78,6 +78,15 @@ def _keys_from(keys_dir: str) -> KeyDirectory:
     return KeyDirectory.load(keys_dir)
 
 
+def _read_record(cls, path: str):
+    """A ``cls`` record parsed from a JSON file; a file of the wrong
+    shape is a ValueError, reported like any other bad input."""
+    try:
+        return cls.from_dict(json.loads(Path(path).read_text()))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path} is not a {cls.__name__} record: {exc!r}") from None
+
+
 def _emit(data: dict, as_json: bool, human_lines: list[str]) -> None:
     if as_json:
         click.echo(json.dumps(data, sort_keys=True, indent=2))
@@ -205,7 +214,7 @@ def claim_create(dataset_id, payload_path, level, dimensions, provider_name,
 def claim_verify(claim_path, keys_dir, as_json):
     """Check a claim file's signature against the provider's public key."""
     keys = _keys_from(keys_dir)
-    parsed = TrustClaim.from_dict(json.loads(Path(claim_path).read_text()))
+    parsed = _read_record(TrustClaim, claim_path)
     public_key = keys.public_key_for(parsed.provider_id)
     ok = public_key is not None and verify_payload(
         parsed.signing_payload(), parsed.signature, public_key
@@ -239,7 +248,7 @@ def manifest():
 def manifest_create(claim_path, evidence, out_path, now, as_json):
     """Hash evidence files into a manifest bound to a claim."""
     now = _now_or_default(now)
-    parsed_claim = TrustClaim.from_dict(json.loads(Path(claim_path).read_text()))
+    parsed_claim = _read_record(TrustClaim, claim_path)
     artifacts = []
     for entry in evidence:
         kind, _, file_path = entry.partition("=")
@@ -342,8 +351,8 @@ def attest_verify(attestation_path, claim_path, keys_dir, now, as_json):
     """Check an attestation's signature, claim binding, and window."""
     now = _now_or_default(now)
     keys = _keys_from(keys_dir)
-    parsed = Attestation.from_dict(json.loads(Path(attestation_path).read_text()))
-    parsed_claim = TrustClaim.from_dict(json.loads(Path(claim_path).read_text()))
+    parsed = _read_record(Attestation, attestation_path)
+    parsed_claim = _read_record(TrustClaim, claim_path)
     public_key = keys.public_key_for(parsed.assurer_id)
     if public_key is None or not verify_payload(
         parsed.signing_payload(), parsed.signature, public_key
@@ -386,10 +395,8 @@ def publish(store, payload_path, claim_path, attestation_paths, description,
     """Publish a dataset (payload + claim + attestations) to a provider store."""
     now = _now_or_default(now)
     keys = _keys_from(keys_dir)
-    parsed_claim = TrustClaim.from_dict(json.loads(Path(claim_path).read_text()))
-    attestations = tuple(
-        Attestation.from_dict(json.loads(Path(p).read_text())) for p in attestation_paths
-    )
+    parsed_claim = _read_record(TrustClaim, claim_path)
+    attestations = tuple(_read_record(Attestation, p) for p in attestation_paths)
     file_store = FileProviderStore(store)
     if file_store.exists():
         provider = file_store.load(keys, clock=lambda: now)

@@ -659,7 +659,7 @@ class ConsumerConnector:
                 continue
             att_key = self.keys.public_key_for(att.assurer_id)
             if att_key is None or not verify_payload(
-                att.signing_payload(), att.signature, att_key
+                att.canonical_bytes, att.signature, att_key
             ):
                 ignored.append((att.attestation_id, "signature-invalid"))
                 problems.append(f"attestation {att.attestation_id} signature invalid")

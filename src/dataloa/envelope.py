@@ -28,7 +28,7 @@ from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Optional
+from typing import Any, Hashable, Iterator, Optional
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -80,6 +80,14 @@ def canonicalize(value: Any) -> bytes:
     type outside str/int/bool/None/list/map.
     """
     _check_canonicalizable(value)
+    return encode_typed(value)
+
+
+def encode_typed(value: Any) -> bytes:
+    """``canonicalize`` without its type walk, for a signed record whose
+    constructor has already checked that every field it signs is a str,
+    int, bool, None, list or str-keyed map. Anything else must go
+    through ``canonicalize``."""
     return json.dumps(
         value, ensure_ascii=False, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
@@ -175,8 +183,8 @@ class SignatureEnvelope:
     sig: str
 
     def __post_init__(self):
-        if not self.alg:
-            raise ValueError("signature envelope requires a non-empty alg")
+        if not (isinstance(self.alg, str) and self.alg):
+            raise ValueError("signature envelope requires a non-empty string alg")
 
     def to_dict(self) -> dict:
         return {"alg": self.alg, "key_id": self.key_id, "sig": self.sig}
@@ -236,44 +244,44 @@ def sign_payload(payload: Any, keypair: KeyPair) -> SignatureEnvelope:
 # Verified-signature cache
 # ---------------------------------------------------------------------------
 
-# Entries in the process-wide cache of successful verifications: room
-# for every valid signature of a 2000-asset catalog (about 3000) with
-# space to spare for the other records a process checks meanwhile.
+# Entries in the process-wide cache of verification outcomes: room for
+# every signature of a 2000-asset catalog (about 3300) with space to
+# spare for the other records a process checks meanwhile.
 VERIFIED_CACHE_SIZE = 8192
 
 
 class _VerifiedCache:
-    """Bounded, thread-safe LRU set of successful verifications.
+    """Bounded, thread-safe LRU map from a signature check to its outcome.
 
     A signature check is a deterministic function of (alg, public key,
     message, signature) -- RFC 8032 for Ed25519 -- so a remembered
-    success is the answer the check would give again. Only successes
-    are stored: a failing signature is checked in full every time.
+    outcome, success or failure, is the answer the check would give
+    again.
     """
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
-        self._keys: OrderedDict[bytes, None] = OrderedDict()
+        self._keys: OrderedDict[Hashable, bool] = OrderedDict()
         self._lock = threading.Lock()
 
     @staticmethod
-    def key(alg: str, public_hex: str, sig_hex: str, message: bytes) -> bytes:
-        """SHA-256 over the JSON array of the four values, so no crafted
-        field can shift bytes into its neighbour."""
-        fields = [alg, public_hex, sig_hex, hashlib.sha256(message).hexdigest()]
-        return hashlib.sha256(json.dumps(fields).encode("ascii")).digest()
+    def key(alg: str, public_hex: str, sig_hex: str, message: bytes) -> tuple:
+        """The four values as a tuple, so no crafted field can shift
+        bytes into its neighbour; the message enters as its digest."""
+        return (alg, public_hex, sig_hex, hashlib.sha256(message).digest())
 
-    def hit(self, key: bytes) -> bool:
-        """True if ``key`` is held; a hit makes it the most recent."""
+    def hit(self, key: Hashable) -> Optional[bool]:
+        """The outcome held for ``key``, or None; a hit makes it the
+        most recent."""
         with self._lock:
-            if key not in self._keys:
-                return False
-            self._keys.move_to_end(key)
-            return True
+            outcome = self._keys.get(key)
+            if outcome is not None:
+                self._keys.move_to_end(key)
+            return outcome
 
-    def add(self, key: bytes) -> None:
+    def add(self, key: Hashable, outcome: bool = True) -> None:
         with self._lock:
-            self._keys[key] = None
+            self._keys[key] = outcome
             self._keys.move_to_end(key)
             if len(self._keys) > self.maxsize:
                 self._keys.popitem(last=False)
@@ -291,8 +299,8 @@ def verify_payload(payload: Any, envelope: SignatureEnvelope, public_hex: str) -
     ``payload`` may also be those canonical bytes, already encoded;
     bytes are never canonicalizable, so the two cannot be confused.
     Any mutation of payload or signature yields False, never an error;
-    only an unregistered algorithm raises. Successes are remembered in a
-    bounded process-wide cache keyed on the exact bytes checked.
+    only an unregistered algorithm raises. Each outcome is remembered in
+    a bounded process-wide cache keyed on the exact bytes checked.
     """
     scheme = _scheme_for(envelope.alg)
     message = payload if isinstance(payload, bytes) else canonicalize(payload)
@@ -300,12 +308,11 @@ def verify_payload(payload: Any, envelope: SignatureEnvelope, public_hex: str) -
     if not (isinstance(public_hex, str) and isinstance(envelope.sig, str)):
         return scheme.verify(public_hex, message, envelope.sig)
     key = _VerifiedCache.key(envelope.alg, public_hex, envelope.sig, message)
-    if _VERIFIED.hit(key):
-        return True
-    valid = scheme.verify(public_hex, message, envelope.sig)
-    if valid:
-        _VERIFIED.add(key)
-    return valid
+    outcome = _VERIFIED.hit(key)
+    if outcome is None:
+        outcome = scheme.verify(public_hex, message, envelope.sig)
+        _VERIFIED.add(key, outcome)
+    return outcome
 
 
 # ---------------------------------------------------------------------------

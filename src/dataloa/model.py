@@ -16,9 +16,9 @@ from typing import Collection, Iterable, Mapping, Optional
 from .envelope import (
     SignatureEnvelope,
     KeyPair,
-    canonicalize,
     content_hash,
     derived_id,
+    encode_typed,
     hash_of,
     is_hash_hex,
     sign_payload,
@@ -118,6 +118,11 @@ def validate_dimensions(dimensions: Mapping[str, str]) -> dict[str, str]:
     return dict(dimensions)
 
 
+def _check_str(value, label: str) -> None:
+    if not isinstance(value, str):
+        raise ValueError(f"{label} must be a string")
+
+
 def _check_epoch(value, label: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{label} must be an integer epoch timestamp")
@@ -139,6 +144,10 @@ class TrustClaim:
     signature: SignatureEnvelope
 
     def __post_init__(self):
+        # Every signed field is type-checked here, so canonical_bytes
+        # needs no type walk.
+        for label in ("claim_id", "dataset_id", "provider_id"):
+            _check_str(getattr(self, label), label)
         if self.level_claimed < AssuranceLevel.SELF_ASSERTED:
             raise ValueError("a claim cannot claim UNASSERTED")
         if not is_hash_hex(self.content_hash):
@@ -161,7 +170,7 @@ class TrustClaim:
     def canonical_bytes(self) -> bytes:
         """Canonical bytes of the signing payload, encoded once per
         claim: the message its signature covers."""
-        return canonicalize(self.signing_payload())
+        return encode_typed(self.signing_payload())
 
     def canonical_hash(self) -> str:
         """Digest over the claim's canonical bytes (signature excluded);
@@ -332,6 +341,10 @@ class Attestation:
     signature: SignatureEnvelope
 
     def __post_init__(self):
+        # Every signed field is type-checked here, so canonical_bytes
+        # needs no type walk.
+        _check_str(self.attestation_id, "attestation_id")
+        _check_str(self.assurer_id, "assurer_id")
         if self.level_assured not in (AssuranceLevel.AUDITED, AssuranceLevel.AUDITED_HIGH):
             raise ValueError("level_assured must be AUDITED or AUDITED_HIGH")
         if not is_hash_hex(self.claim_hash):
@@ -356,6 +369,12 @@ class Attestation:
             "valid_from": self.valid_from,
             "valid_until": self.valid_until,
         }
+
+    @cached_property
+    def canonical_bytes(self) -> bytes:
+        """Canonical bytes of the signing payload, encoded once per
+        attestation: the message its signature covers."""
+        return encode_typed(self.signing_payload())
 
     def to_dict(self) -> dict:
         data = self.signing_payload()

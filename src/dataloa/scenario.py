@@ -666,6 +666,8 @@ class ScenarioRunner:
                 }
             except DataLoaError as exc:
                 errors[name] = str(exc)
+            except Exception as exc:  # a worker must not vanish from the report
+                errors[name] = f"{type(exc).__name__}: {exc}"
 
         threads = [threading.Thread(target=worker, args=(n,)) for n in names]
         for t in threads:

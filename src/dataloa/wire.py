@@ -251,7 +251,7 @@ class _ProviderHandler(_QuietHandler):
                 self._send_json(404, {"error": "not_found", "message": self.path})
         except DataLoaError as exc:
             self._send_error_json(exc)
-        except (_BadRequest, KeyError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # _BadRequest is a ValueError
             self._send_bad_request(exc)
 
 
@@ -293,7 +293,7 @@ class _AssuranceHandler(_QuietHandler):
                 self._send_json(404, {"error": "not_found", "message": self.path})
         except DataLoaError as exc:
             self._send_error_json(exc)
-        except (KeyError, ValueError) as exc:  # _BadRequest is a ValueError
+        except (KeyError, TypeError, ValueError) as exc:  # _BadRequest is a ValueError
             self._send_bad_request(exc)
 
 

@@ -87,6 +87,27 @@ def test_claim_verify_fails_on_tampered_signature(runner, workspace):
     assert "signature invalid" in result.output
 
 
+def _assert_typed_error(result):
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error: " in result.output
+    assert "Traceback" not in result.output
+
+
+def test_claim_verify_reports_a_malformed_file(runner, workspace):
+    bad_path = workspace / "claim_list.json"
+    bad_path.write_text("[1]")
+    _assert_typed_error(_invoke(runner, workspace, "claim", "verify", "--claim", bad_path))
+
+
+def test_attest_verify_reports_a_malformed_file(runner, workspace):
+    claim_path = _make_claim(runner, workspace)
+    bad_path = workspace / "att_list.json"
+    bad_path.write_text("[1]")
+    _assert_typed_error(_invoke(runner, workspace, "attest", "verify",
+                                "--attestation", bad_path, "--claim", claim_path))
+
+
 def test_claim_create_rejects_malformed_dimension(runner, workspace):
     result = _invoke(
         runner, workspace,

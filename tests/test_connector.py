@@ -443,28 +443,57 @@ def test_consumer_ignores_forged_attestation(provider, consumer, assurance,
     assert vasset.ignored[0][1] == "signature-invalid"
 
 
-def test_fetch_canonicalizes_each_claim_once(monkeypatch, published, consumer):
+def test_fetch_canonicalizes_each_claim_once(monkeypatch, provider, consumer, assurance,
+                                             make_claim, make_manifest):
+    """One encoding per claim and per attestation per fetch, by either
+    encoder."""
     from dataloa import envelope, model
 
+    claim, att = _attested(assurance, make_claim, make_manifest)
+    provider.publish(payload=PAYLOAD, description="", policy=default_policy(),
+                     claim=claim, attestations=(att,))
     encoded = []
-    real = envelope.canonicalize
 
-    def counting(value):
-        encoded.append(value)
-        return real(value)
+    def counting(real):
+        def wrapper(value):
+            encoded.append(value)
+            return real(value)
+        return wrapper
 
-    monkeypatch.setattr(model, "canonicalize", counting)
-    monkeypatch.setattr(envelope, "canonicalize", counting)
-    provider, _, claim = published
-    vasset = consumer.fetch_catalog(LocalProviderTransport(provider)).assets[0]
-    assert vasset.claim_valid
-    assert vasset.asset.claim.canonical_hash() == claim.canonical_hash()
-    assert encoded == [claim.signing_payload()]
+    monkeypatch.setattr(model, "encode_typed", counting(envelope.encode_typed))
+    monkeypatch.setattr(envelope, "canonicalize", counting(envelope.canonicalize))
+    for _ in range(2):
+        encoded.clear()
+        vasset = consumer.fetch_catalog(LocalProviderTransport(provider)).assets[0]
+        assert vasset.claim_valid
+        assert vasset.valid_attestations == (att,)
+        assert vasset.asset.claim.canonical_hash() == claim.canonical_hash()
+        assert encoded == [claim.signing_payload(), att.signing_payload()]
 
 
 def test_consumer_rejects_malformed_catalog(consumer):
     with pytest.raises(MalformedCatalog):
         consumer.fetch_catalog(_StubTransport({"assets": "not-a-list"}))
+
+
+@pytest.mark.parametrize("record,field,value", [
+    ("claim", "claim_id", [1]),
+    ("claim", "provider_id", 5.0),
+    ("claim", "signature", {"alg": [1], "key_id": PROVIDER_ID, "sig": "00"}),
+    ("attestation", "assurer_id", {"k": 1}),
+])
+def test_consumer_rejects_wrong_typed_signed_fields(provider, consumer, assurance,
+                                                    make_claim, make_manifest,
+                                                    record, field, value):
+    claim, att = _attested(assurance, make_claim, make_manifest)
+    provider.publish(payload=PAYLOAD, description="", policy=default_policy(),
+                     claim=claim, attestations=(att,))
+    data = provider.catalog().to_dict()
+    asset = data["assets"][0]
+    target = asset["claim"] if record == "claim" else asset["attestation_refs"][0]
+    target[field] = value
+    with pytest.raises(MalformedCatalog):
+        consumer.fetch_catalog(_StubTransport(data))
 
 
 def test_consumer_end_to_end_negotiate_and_transfer(published, consumer):

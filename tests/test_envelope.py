@@ -238,14 +238,35 @@ def test_cache_key_fields_cannot_shift():
     assert key("ed25519", "ab", "cd", b"m") != key("ed25519", "ab", "cd", b"n")
 
 
-def test_failing_signature_is_never_cached(ed25519_calls):
+def test_failing_signature_is_remembered_once(monkeypatch, ed25519_calls):
+    """A remembered failure answers False for the same four inputs and
+    never turns into a success; a change to any of them is a miss."""
+    monkeypatch.setattr(envelope_module, "_VERIFIED",
+                        envelope_module._VerifiedCache(VERIFIED_CACHE_SIZE))
     kp = generate_keypair("urn:actor:p")
+    other = generate_keypair("urn:actor:q")
     payload = {"n": 7}
     env = sign_payload(payload, kp)
     forged = SignatureEnvelope(alg=env.alg, key_id=env.key_id, sig=_flip_first_byte(env.sig))
     for _ in range(3):
         assert verify_payload(payload, forged, kp.public) is False
-    assert ed25519_calls == [False, False, False]
+    assert ed25519_calls == [False]
+
+    ed25519_calls.clear()
+    assert verify_payload(payload, env, kp.public) is True  # signature
+    assert verify_payload({"n": 8}, forged, kp.public) is False  # message
+    assert verify_payload(payload, forged, other.public) is False  # key
+    assert ed25519_calls == [True, False, False]
+    monkeypatch.setitem(envelope_module._SCHEMES, "ed25519-twin", _RejectingScheme())
+    twin = SignatureEnvelope(alg="ed25519-twin", key_id=env.key_id, sig=env.sig)
+    assert verify_payload(payload, twin, kp.public) is False  # algorithm
+
+    ed25519_calls.clear()
+    for _ in range(2):
+        assert verify_payload(payload, forged, kp.public) is False
+        assert verify_payload(payload, env, kp.public) is True
+        assert verify_payload(payload, twin, kp.public) is False
+    assert ed25519_calls == []
 
 
 def test_malformed_payload_raises_on_a_cached_signature():
@@ -342,7 +363,7 @@ def test_repeat_catalog_fetch_skips_valid_signatures(
     assert sorted(ed25519_calls) == [False, False, True, True, True]
     ed25519_calls.clear()
     warm = consumer.fetch_catalog(transport)
-    assert ed25519_calls == [False, False]
+    assert ed25519_calls == []
     assert warm == cold
     for catalog in (cold, warm):
         assert {a.asset.asset_id for a in catalog.assets if a.flagged} == {"forged", "shadowed"}

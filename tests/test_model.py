@@ -15,6 +15,7 @@ from dataloa.envelope import (
     verify_payload,
 )
 from dataloa.model import (
+    DIMENSION_NAMES,
     AssuranceLevel,
     Attestation,
     EvidenceArtifact,
@@ -318,3 +319,60 @@ def test_revoking_everything_dominates(claim_level, params):
         is AssuranceLevel.SELF_ASSERTED
     assert effective_level(None, attestations, frozenset(), NOW) \
         is AssuranceLevel.UNASSERTED
+
+
+# -- records encode their own canonical bytes --------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_FIELD_VALUES = _JSON | st.dictionaries(
+    st.sampled_from(sorted(DIMENSION_NAMES)), _JSON, max_size=2
+)
+_VALID = {
+    TrustClaim: _PROP_CLAIMS[2].to_dict(),
+    Attestation: _attestation(_PROP_CLAIMS[2]).to_dict(),
+}
+_DROP = object()
+
+
+def _records(cls):
+    """Any JSON value or, three times as often, a valid ``cls`` record
+    with up to two fields replaced by a string, an integer, a float, any
+    JSON value, or dropped."""
+    valid = _VALID[cls]
+    value = st.sampled_from(
+        [st.text(max_size=4), st.integers(), st.floats(), _FIELD_VALUES, st.just(_DROP)]
+    ).flatmap(lambda strategy: strategy)
+    edited = st.dictionaries(st.sampled_from(sorted(valid)), value, max_size=2).map(
+        lambda edits: {k: v for k, v in {**valid, **edits}.items() if v is not _DROP}
+    )
+    return st.integers(0, 3).flatmap(lambda i: edited if i else _JSON)
+
+
+@pytest.mark.parametrize("cls", [TrustClaim, Attestation])
+@settings(max_examples=200)
+@given(data=st.data())
+def test_decoded_records_encode_like_canonicalize(cls, data):
+    """Whatever ``from_dict`` accepts, the record's own encoding equals
+    the checked canonical encoding of its signing payload."""
+    try:
+        record = cls.from_dict(data.draw(_records(cls)))
+    except (KeyError, TypeError, ValueError):
+        return
+    assert record.canonical_bytes == canonicalize(record.signing_payload())
+
+
+@pytest.mark.parametrize("cls,field", [
+    (TrustClaim, "claim_id"),
+    (TrustClaim, "dataset_id"),
+    (TrustClaim, "provider_id"),
+    (Attestation, "attestation_id"),
+    (Attestation, "assurer_id"),
+])
+def test_records_reject_non_string_ids(cls, field):
+    with pytest.raises(ValueError, match=field):
+        cls.from_dict({**_VALID[cls], field: [1]})

@@ -211,6 +211,28 @@ def test_audit_expectation_mismatch_is_reported(tmp_path):
     assert any("audit" in f for f in report.expectation_failures)
 
 
+def test_parallel_negotiation_records_every_worker_exception(monkeypatch):
+    def failing_transport():
+        raise RuntimeError("transport exploded")
+
+    setup = ScenarioRunner.setup
+
+    def setup_then_break(self, report):
+        setup(self, report)
+        self._provider_transport_factory = failing_transport
+
+    monkeypatch.setattr(ScenarioRunner, "setup", setup_then_break)
+    report = run_scenario("concurrent_negotiations", mode="in-process")
+    step = next(s for s in report.steps if s["action"] == "negotiate_parallel")
+    assert step["outcomes"] == []
+    assert step["errors"] == {
+        name: "RuntimeError: transport exploded" for name in step["consumers"]
+    }
+    for name in step["consumers"]:
+        assert any(f.startswith(f"negotiate_parallel {name}/")
+                   for f in report.expectation_failures)
+
+
 def test_reports_are_deterministic(tmp_path):
     first = run_scenario("poc_self_asserted", mode="in-process")
     second = run_scenario("poc_self_asserted", mode="in-process")

@@ -232,6 +232,18 @@ def test_http_revocations_round_trip(assurance_http):
     assert len(http.get_revocations()) == 1
 
 
+def test_non_string_revocation_id_is_refused(assurance_http):
+    """An integer id would sort against string ids and break every later
+    listing."""
+    http, _ = assurance_http
+    response = requests.post(
+        f"{http.base_url}/revocations", json={"attestation_id": 5}, timeout=5
+    )
+    assert response.status_code == 400
+    http.revoke("att-9", "compromised")
+    assert [e["attestation_id"] for e in http.get_revocations()] == ["att-9"]
+
+
 def test_unreachable_server(published):
     provider, _, _ = published
     server = ProviderHTTPServer(provider)
@@ -291,6 +303,28 @@ def test_malformed_post_gets_400_json(case, path, published, assurance):
     )
     with server_cls(actor) as server:
         status, reply = _raw_post(server.base_url, path, headers, body)
+    assert status == 400
+    assert reply["error"] == "bad_request"
+
+
+WRONG_TYPED = {
+    "/negotiations": {"asset_id": [1], "consumer_id": CONSUMER_ID,
+                      "policy_hash": "0" * 64, "claim_hash": "0" * 64},
+    "/audits": {"claim": 5, "manifest": {}, "requested_level": 2},
+    "/revocations": {"attestation_id": [1]},
+}
+
+
+@pytest.mark.parametrize("path", sorted(WRONG_TYPED))
+def test_wrong_typed_field_gets_400_json(path, published, assurance):
+    body = json.dumps(WRONG_TYPED[path]).encode("utf-8")
+    provider, _, _ = published
+    server_cls, actor = (
+        (ProviderHTTPServer, provider) if path == "/negotiations"
+        else (AssuranceHTTPServer, assurance)
+    )
+    with server_cls(actor) as server:
+        status, reply = _raw_post(server.base_url, path, _sized(body), body)
     assert status == 400
     assert reply["error"] == "bad_request"
 
