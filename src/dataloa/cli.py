@@ -41,6 +41,7 @@ from .errors import DataLoaError
 from .model import (
     Attestation,
     EvidenceArtifact,
+    EvidenceManifest,
     TrustClaim,
     build_manifest,
     create_claim,
@@ -295,8 +296,8 @@ def audit_request(claim_path, manifest_path, level, assurer_url, assurer_name,
     """Submit a claim plus evidence manifest for audit."""
     now = _now_or_default(now)
     keys = _keys_from(keys_dir)
-    claim_data = json.loads(Path(claim_path).read_text())
-    manifest_data = json.loads(Path(manifest_path).read_text())
+    claim_data = _read_record(TrustClaim, claim_path).to_dict()
+    manifest_data = _read_record(EvidenceManifest, manifest_path).to_dict()
     if assurer_url:
         transport = HttpAssuranceTransport(assurer_url)
     elif assurer_name:

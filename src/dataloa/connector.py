@@ -631,7 +631,10 @@ class ConsumerConnector:
             assets = [Asset.from_dict(a) for a in raw["assets"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedCatalog(f"catalog response not parseable: {exc}") from exc
-        verified = tuple(self._verify_asset(asset, provider_id) for asset in assets)
+        try:
+            verified = tuple(self._verify_asset(asset, provider_id) for asset in assets)
+        except UnicodeEncodeError as exc:  # a lone surrogate in a signed string
+            raise MalformedCatalog(f"catalog record not encodable as UTF-8: {exc}") from exc
         return VerifiedCatalog(provider_id=provider_id, issued_at=issued_at, assets=verified)
 
     def _verify_asset(self, asset: Asset, provider_id: str) -> VerifiedAsset:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -385,7 +386,7 @@ class ScenarioRunner:
         self.config = config or DeploymentConfig.defaults()
         self.keys = keys or KeyDirectory()
         self._clock = lambda: self.now
-        self._servers: list = []
+        self._resources = ExitStack()  # HTTP servers and transports, closed by run()
 
         self.provider: Optional[ProviderConnector] = None
         self.assurer: Optional[AssuranceService] = None
@@ -433,14 +434,20 @@ class ScenarioRunner:
             )
 
         if self.mode == "http":
-            provider_server = ProviderHTTPServer(self.provider).start()
-            assurance_server = AssuranceHTTPServer(self.assurer).start()
-            self._servers = [provider_server, assurance_server]
-            self.provider_transport = HttpProviderTransport(provider_server.base_url)
-            self.assurance_transport = HttpAssuranceTransport(assurance_server.base_url)
-            self._provider_transport_factory = lambda: HttpProviderTransport(
-                provider_server.base_url
-            )
+            # run() closes these in reverse: the transports first, whose
+            # closed connections end their servers' handler threads.
+            hold = self._resources.enter_context
+            provider_server = hold(ProviderHTTPServer(self.provider))
+            assurance_server = hold(AssuranceHTTPServer(self.assurer))
+            self.provider_transport = hold(HttpProviderTransport(provider_server.base_url))
+            self.assurance_transport = hold(HttpAssuranceTransport(assurance_server.base_url))
+            factory_lock = threading.Lock()  # parallel workers call it at once
+
+            def worker_transport() -> HttpProviderTransport:
+                with factory_lock:
+                    return hold(HttpProviderTransport(provider_server.base_url))
+
+            self._provider_transport_factory = worker_transport
         else:
             self.provider_transport = LocalProviderTransport(self.provider)
             self.assurance_transport = LocalAssuranceTransport(self.assurer)
@@ -760,9 +767,7 @@ class ScenarioRunner:
             report.final_sessions = self.provider.session_states()
             report.revocations = self.assurance_transport.get_revocations()
         finally:
-            for server in self._servers:
-                server.stop()
-            self._servers = []
+            self._resources.close()
         report.elapsed_ms = (time.perf_counter() - started) * 1000
         return report
 

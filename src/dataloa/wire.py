@@ -5,22 +5,26 @@ Two interchangeable implementations of the same contract:
 * local: direct in-process calls against a ProviderConnector or
   AssuranceService, still exchanging plain dicts so the consumer code
   path is byte-for-byte the same as over HTTP;
-* http: a stdlib threaded HTTP server per actor plus a requests-based
-  client, with domain errors mapped to status codes on the way out and
-  reconstructed from the response body on the way back in.
+* http: a stdlib threaded HTTP server per actor plus a stdlib client
+  holding one keep-alive connection per transport, with domain errors
+  mapped to status codes on the way out and reconstructed from the
+  response body on the way back in.
 
 A consumer holding a ProviderTransport cannot tell which one it has.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
 import socket
+import ssl
 import threading
+import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Protocol
-
-import requests
+from types import SimpleNamespace
+from typing import NamedTuple, Optional, Protocol
 
 from .assurance import AssuranceService, AuditResponse
 from .connector import ProviderConnector
@@ -352,23 +356,89 @@ class AssuranceHTTPServer(_ActorServer):
 # ---------------------------------------------------------------------------
 
 
+class _Response(NamedTuple):
+    status_code: int
+    headers: http.client.HTTPMessage
+    content: bytes
+    url: str
+
+    def json(self):
+        return json.loads(self.content)
+
+
+def _readable(sock: socket.socket) -> bool:
+    """Whether sock has bytes or an end of stream waiting, without blocking."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
 class _HttpClient:
+    """One keep-alive connection to ``base_url``, one request at a time.
+
+    The connection opens on the first request and is reused until the
+    server closes it (RFC 9112 section 9.3). Proxy environment variables
+    are not read; ``https://`` verifies the server against the system
+    trust store. A request is never sent twice: any failure to send it
+    or to read its response is ``Unreachable``.
+    """
+
     def __init__(self, base_url: str, timeout: float = 10.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self._session = requests.Session()
-
-    def _request(self, method: str, path: str, json_body: Optional[dict] = None):
-        url = f"{self.base_url}{path}"
-        try:
-            response = self._session.request(
-                method, url, json=json_body, timeout=self.timeout
+        url = urllib.parse.urlsplit(self.base_url)
+        if url.scheme == "http" and url.hostname:
+            self._conn = http.client.HTTPConnection(url.hostname, url.port, timeout=timeout)
+        elif url.scheme == "https" and url.hostname:
+            self._conn = http.client.HTTPSConnection(
+                url.hostname, url.port, timeout=timeout, context=ssl.create_default_context()
             )
-        except (requests.ConnectionError, requests.Timeout) as exc:
-            raise Unreachable(f"{url}: {exc}") from exc
-        return response
+        else:
+            raise ValueError(f"not an http:// or https:// URL: {base_url!r}")
+        self._path_prefix = url.path
+        self._lock = threading.Lock()
+        # bench/tracing.py sets its span header here; every request sends these.
+        self._session = SimpleNamespace(headers={})
 
-    def _raise_for_error(self, response) -> None:
+    def close(self) -> None:
+        """Close the connection; a later request opens a new one."""
+        with self._lock:
+            self._conn.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _request(self, method: str, path: str, json_body: Optional[dict] = None) -> _Response:
+        url = f"{self.base_url}{path}"
+        headers = dict(self._session.headers)
+        body = None
+        if json_body is not None:
+            body = json.dumps(json_body).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        with self._lock:
+            conn = self._conn
+            # An idle connection has nothing to read: if it is readable,
+            # the server has closed it (or broken framing) since the last
+            # response, so open a fresh one rather than send into it.
+            if conn.sock is not None and _readable(conn.sock):
+                conn.close()
+            try:
+                conn.request(method, self._path_prefix + path, body, headers)
+                response = conn.getresponse()
+                # Read in full so the connection is free for the next
+                # request; http.client itself closes it on will_close.
+                content = response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                raise Unreachable(f"{url}: {exc}") from exc
+        return _Response(response.status, response.headers, content, url)
+
+    def _raise_for_error(self, response: _Response) -> None:
         if response.status_code < 400:
             return
         try:
@@ -381,7 +451,7 @@ class _HttpClient:
             ) from None
         raise error_for_wire_code(code, message)
 
-    def _json_of(self, response):
+    def _json_of(self, response: _Response):
         try:
             return response.json()
         except ValueError as exc:
@@ -389,7 +459,7 @@ class _HttpClient:
 
 
 class HttpProviderTransport(_HttpClient):
-    """requests-based client for a provider's HTTP endpoints."""
+    """Client for a provider's HTTP endpoints."""
 
     def get_catalog(self) -> dict:
         response = self._request("GET", "/catalog")
@@ -429,7 +499,7 @@ class HttpProviderTransport(_HttpClient):
 
 
 class HttpAssuranceTransport(_HttpClient):
-    """requests-based client for an assurer's HTTP endpoints."""
+    """Client for an assurer's HTTP endpoints."""
 
     def request_audit(self, claim: dict, manifest: dict, requested_level: int) -> dict:
         response = self._request(

@@ -177,6 +177,16 @@ def test_audit_request_fail_names_missing_kinds(runner, workspace):
     assert "security-assessment" in result.output
 
 
+def test_audit_request_reports_a_malformed_claim_file(runner, workspace):
+    claim_path = _make_claim(runner, workspace)
+    manifest_path = _make_manifest(runner, workspace, claim_path, ["quality-report"])
+    bad_path = workspace / "claim_list.json"
+    bad_path.write_text("[1]")
+    _assert_typed_error(_invoke(runner, workspace, "audit", "request",
+                                "--claim", bad_path, "--manifest", manifest_path,
+                                "--level", 2, "--assurer", ASSURER, "--now", NOW))
+
+
 def test_full_pipeline_publish_decide_negotiate_transfer(runner, workspace):
     claim_path = _make_claim(runner, workspace)
     manifest_path = _make_manifest(

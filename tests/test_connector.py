@@ -496,6 +496,25 @@ def test_consumer_rejects_wrong_typed_signed_fields(provider, consumer, assuranc
         consumer.fetch_catalog(_StubTransport(data))
 
 
+@pytest.mark.parametrize("record,field", [
+    ("claim", "claim_id"),
+    ("attestation", "attestation_id"),
+])
+def test_consumer_rejects_lone_surrogate_in_signed_string(provider, consumer, assurance,
+                                                          make_claim, make_manifest,
+                                                          record, field):
+    """Valid JSON, but no UTF-8 encoding exists to check a signature over."""
+    claim, att = _attested(assurance, make_claim, make_manifest)
+    provider.publish(payload=PAYLOAD, description="", policy=default_policy(),
+                     claim=claim, attestations=(att,))
+    data = provider.catalog().to_dict()
+    asset = data["assets"][0]
+    target = asset["claim"] if record == "claim" else asset["attestation_refs"][0]
+    target[field] = "\ud800"
+    with pytest.raises(MalformedCatalog):
+        consumer.fetch_catalog(_StubTransport(data))
+
+
 def test_consumer_end_to_end_negotiate_and_transfer(published, consumer):
     provider, asset, claim = published
     transport = LocalProviderTransport(provider)

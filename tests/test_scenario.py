@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import copy
 import json
+import threading
+import time
 
 import pytest
 
@@ -129,6 +131,18 @@ def test_bundled_scenarios_pass_in_process(name):
     report = run_scenario(name, mode="in-process")
     assert report.ok, report.expectation_failures
     assert report.steps
+
+
+def test_http_replays_leave_no_threads_behind():
+    """Every HTTP run closes its transports, the per-worker ones of
+    negotiate_parallel too, so no server handler thread outlives it."""
+    baseline = threading.active_count()
+    for name in (*BUNDLED, BUNDLED[0]):
+        assert run_scenario(name, mode="http").ok, name
+    deadline = time.monotonic() + 1
+    while threading.active_count() > baseline and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() <= baseline
 
 
 def _run(data: dict, tmp_path, **kwargs):

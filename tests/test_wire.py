@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
 import socket
+import subprocess
+import sys
+import threading
 import time
+import urllib.parse
 
 import pytest
-import requests
 
 from dataloa.connector import NegotiationState
 from dataloa.errors import (
+    DataLoaError,
     IllegalTransition,
     NoSuchAgreement,
     NotFinalized,
@@ -33,18 +39,36 @@ from conftest import CONSUMER_ID, PAYLOAD
 @pytest.fixture
 def provider_http(published):
     provider, asset, claim = published
-    with ProviderHTTPServer(provider) as server:
-        yield HttpProviderTransport(server.base_url), provider, asset, claim
+    with ProviderHTTPServer(provider) as server, \
+            HttpProviderTransport(server.base_url) as http:
+        yield http, provider, asset, claim
 
 
 @pytest.fixture
 def assurance_http(assurance):
-    with AssuranceHTTPServer(assurance) as server:
-        yield HttpAssuranceTransport(server.base_url), assurance
+    with AssuranceHTTPServer(assurance) as server, \
+            HttpAssuranceTransport(server.base_url) as http:
+        yield http, assurance
 
 
 def _hashes(asset):
     return asset.usage_policy.canonical_hash(), asset.claim.canonical_hash()
+
+
+def _call(base_url: str, method: str, path: str, body=None):
+    """One request on a connection of its own: (status, headers, body bytes)."""
+    url = urllib.parse.urlsplit(base_url)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+    try:
+        if body is None:
+            conn.request(method, path)
+        else:
+            conn.request(method, path, json.dumps(body).encode("utf-8"),
+                         {"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, response.headers, response.read()
+    finally:
+        conn.close()
 
 
 # -- catalog ----------------------------------------------------------------
@@ -67,18 +91,17 @@ def test_http_catalog_has_no_payload_locator(provider_http):
 def test_http_negotiation_created_with_201(provider_http):
     http, _, asset, _ = provider_http
     policy_hash, claim_hash = _hashes(asset)
-    response = requests.post(
-        f"{http.base_url}/negotiations",
-        json={
+    status, _, body = _call(
+        http.base_url, "POST", "/negotiations",
+        {
             "asset_id": asset.asset_id,
             "consumer_id": CONSUMER_ID,
             "policy_hash": policy_hash,
             "claim_hash": claim_hash,
         },
-        timeout=5,
     )
-    assert response.status_code == 201
-    assert response.json()["state"] == "AGREED"
+    assert status == 201
+    assert json.loads(body)["state"] == "AGREED"
 
 
 def test_http_full_negotiation_and_transfer(provider_http):
@@ -104,20 +127,19 @@ def test_http_transfer_sets_content_hash_header(provider_http):
         asset.asset_id, CONSUMER_ID, policy_hash, claim_hash
     )
     http.finalize_negotiation(session["session_id"])
-    response = requests.get(
-        f"{http.base_url}/transfers/{session['agreement']['agreement_id']}",
-        timeout=5,
+    status, headers, _ = _call(
+        http.base_url, "GET", f"/transfers/{session['agreement']['agreement_id']}"
     )
-    assert response.status_code == 200
-    assert response.headers[CONTENT_HASH_HEADER] == claim.content_hash
+    assert status == 200
+    assert headers[CONTENT_HASH_HEADER] == claim.content_hash
 
 
 def test_http_unknown_session_maps_to_404(provider_http):
     http, _, _, _ = provider_http
     with pytest.raises(UnknownSession):
         http.get_negotiation("no-such-session")
-    response = requests.get(f"{http.base_url}/negotiations/no-such-session", timeout=5)
-    assert response.status_code == 404
+    status, _, _ = _call(http.base_url, "GET", "/negotiations/no-such-session")
+    assert status == 404
 
 
 def test_http_double_finalize_maps_to_409(provider_http):
@@ -129,10 +151,10 @@ def test_http_double_finalize_maps_to_409(provider_http):
     http.finalize_negotiation(session["session_id"])
     with pytest.raises(IllegalTransition):
         http.finalize_negotiation(session["session_id"])
-    response = requests.post(
-        f"{http.base_url}/negotiations/{session['session_id']}/finalize", timeout=5
+    status, _, _ = _call(
+        http.base_url, "POST", f"/negotiations/{session['session_id']}/finalize"
     )
-    assert response.status_code == 409
+    assert status == 409
 
 
 def test_http_transfer_before_finalize_maps_to_409(provider_http):
@@ -153,8 +175,8 @@ def test_http_unknown_agreement_maps_to_404(provider_http):
 
 def test_http_unknown_path_is_404(provider_http):
     http, _, _, _ = provider_http
-    response = requests.get(f"{http.base_url}/nonsense", timeout=5)
-    assert response.status_code == 404
+    status, _, _ = _call(http.base_url, "GET", "/nonsense")
+    assert status == 404
 
 
 def test_consumer_is_transport_agnostic(provider_http, consumer):
@@ -193,14 +215,13 @@ def test_http_audit_fail_is_422_with_details(assurance_http, make_claim,
     http, _ = assurance_http
     claim = make_claim(level=3)
     manifest = make_manifest(claim, kinds=("quality-report",))
-    response = requests.post(
-        f"{http.base_url}/audits",
-        json={"claim": claim.to_dict(), "manifest": manifest.to_dict(),
-              "requested_level": 3},
-        timeout=5,
+    status, _, raw = _call(
+        http.base_url, "POST", "/audits",
+        {"claim": claim.to_dict(), "manifest": manifest.to_dict(),
+         "requested_level": 3},
     )
-    assert response.status_code == 422
-    body = response.json()
+    assert status == 422
+    body = json.loads(raw)
     assert body["missing_kinds"] == [
         "integrity-monitoring", "provenance-record", "security-assessment"
     ]
@@ -211,19 +232,18 @@ def test_http_audit_fail_is_422_with_details(assurance_http, make_claim,
 
 def test_http_audit_rejects_garbage_with_400(assurance_http):
     http, _ = assurance_http
-    response = requests.post(f"{http.base_url}/audits", json={"claim": {}}, timeout=5)
-    assert response.status_code == 400
+    status, _, _ = _call(http.base_url, "POST", "/audits", {"claim": {}})
+    assert status == 400
 
 
 def test_http_revocations_round_trip(assurance_http):
     http, assurance = assurance_http
     assert http.get_revocations() == []
-    response = requests.post(
-        f"{http.base_url}/revocations",
-        json={"attestation_id": "att-9", "reason": "compromised"},
-        timeout=5,
+    status, _, _ = _call(
+        http.base_url, "POST", "/revocations",
+        {"attestation_id": "att-9", "reason": "compromised"},
     )
-    assert response.status_code == 204
+    assert status == 204
     listed = http.get_revocations()
     assert [e["attestation_id"] for e in listed] == ["att-9"]
     assert assurance.revocations.is_revoked("att-9")
@@ -236,10 +256,8 @@ def test_non_string_revocation_id_is_refused(assurance_http):
     """An integer id would sort against string ids and break every later
     listing."""
     http, _ = assurance_http
-    response = requests.post(
-        f"{http.base_url}/revocations", json={"attestation_id": 5}, timeout=5
-    )
-    assert response.status_code == 400
+    status, _, _ = _call(http.base_url, "POST", "/revocations", {"attestation_id": 5})
+    assert status == 400
     http.revoke("att-9", "compromised")
     assert [e["attestation_id"] for e in http.get_revocations()] == ["att-9"]
 
@@ -271,12 +289,17 @@ def _raw_post(base_url: str, path: str, headers: str, body: bytes) -> tuple[int,
         )
         reply = conn.makefile("rb")
         status = int(reply.readline().split()[1])
-        length = 0
-        while (line := reply.readline()) not in (b"\r\n", b""):
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.lower() == "content-length":
-                length = int(value)
-        return status, json.loads(reply.read(length))
+        return status, json.loads(reply.read(_content_length(reply)))
+
+
+def _content_length(stream) -> int:
+    """Read header lines through the blank one; return Content-Length or 0."""
+    length = 0
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        if name.lower() == "content-length":
+            length = int(value)
+    return length
 
 
 def _sized(body: bytes) -> str:
@@ -354,3 +377,166 @@ def test_small_responses_skip_the_delayed_ack(provider_http):
         )
         assert http.finalize_negotiation(session["session_id"])["state"] == "FINALIZED"
     assert time.perf_counter() - started < 0.5
+
+
+# -- client connection ------------------------------------------------------
+
+
+def _count_connections(monkeypatch, server) -> list:
+    """The peer address of every connection the server accepts from now on."""
+    accepted = []
+    get_request = server._server.get_request
+
+    def counting():
+        conn = get_request()
+        accepted.append(conn[1])
+        return conn
+
+    monkeypatch.setattr(server._server, "get_request", counting)
+    return accepted
+
+
+def test_one_connection_carries_every_request(published, monkeypatch):
+    provider, asset, _ = published
+    policy_hash, claim_hash = _hashes(asset)
+    with ProviderHTTPServer(provider) as server:
+        accepted = _count_connections(monkeypatch, server)
+        with HttpProviderTransport(server.base_url) as http:
+            for _ in range(10):
+                session = http.request_negotiation(
+                    asset.asset_id, CONSUMER_ID, policy_hash, claim_hash
+                )
+                assert http.get_negotiation(session["session_id"]) == session
+    assert len(accepted) == 1
+
+
+def test_request_after_a_closing_400_reconnects(published, monkeypatch):
+    """The server closes the connection after a 400; the next request
+    opens a new one instead of failing on the closed one."""
+    provider, _, _ = published
+    with ProviderHTTPServer(provider) as server:
+        accepted = _count_connections(monkeypatch, server)
+        with HttpProviderTransport(server.base_url) as http:
+            with pytest.raises(DataLoaError):
+                http.request_negotiation([1], CONSUMER_ID, "0" * 64, "0" * 64)
+            assert http.get_catalog() == LocalProviderTransport(provider).get_catalog()
+    assert len(accepted) == 2
+
+
+def _read_request(stream) -> bytes:
+    """Read one whole request; return its request line (b"" at end of stream)."""
+    line = stream.readline()
+    stream.read(_content_length(stream))
+    return line
+
+
+class _StubServer:
+    """Accepts one connection at a time on localhost and hands it to
+    ``serve(stream)``; ``done`` is released each time a connection closes."""
+
+    def __init__(self, serve):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}"
+        self.done = threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._loop, args=(serve,), daemon=True)
+        self._thread.start()
+
+    def _loop(self, serve) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:  # the listener was shut down
+                return
+            with conn, conn.makefile("rwb") as stream:
+                serve(stream)
+            self.done.release()
+
+    def __enter__(self) -> "_StubServer":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._listener.shutdown(socket.SHUT_RDWR)
+        self._listener.close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+
+def test_dropped_post_is_unreachable_and_sent_once():
+    """A server that reads a POST and hangs up without answering: the
+    request may have taken effect, so it is not sent again."""
+    seen = []
+    with _StubServer(lambda stream: seen.append(_read_request(stream))) as stub:
+        with pytest.raises(Unreachable), HttpAssuranceTransport(stub.url) as http:
+            http.revoke("att-9", "compromised")
+    assert seen == [b"POST /revocations HTTP/1.1\r\n"]
+
+
+def test_idle_connection_closed_by_server_is_replaced():
+    """A server may close a keep-alive connection while it is idle
+    (RFC 9112 section 9.3); the next request goes out on a new one."""
+    seen = []
+
+    def answer_once(stream):
+        seen.append(_read_request(stream))
+        stream.write(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
+        stream.flush()
+
+    with _StubServer(answer_once) as stub, HttpAssuranceTransport(stub.url) as http:
+        assert http.get_revocations() == []
+        assert stub.done.acquire(timeout=5)
+        assert http.get_revocations() == []
+    assert seen == [b"GET /revocations HTTP/1.1\r\n"] * 2
+
+
+def test_threads_sharing_a_transport_get_their_own_responses(provider_http):
+    http, _, asset, _ = provider_http
+    policy_hash, claim_hash = _hashes(asset)
+    session_ids = [
+        http.request_negotiation(asset.asset_id, CONSUMER_ID, policy_hash, claim_hash)[
+            "session_id"
+        ]
+        for _ in range(4)
+    ]
+    answers: dict[str, list] = {sid: [] for sid in session_ids}
+
+    def worker(sid: str) -> None:
+        for _ in range(25):
+            answers[sid].append(http.get_negotiation(sid)["session_id"])
+
+    threads = [threading.Thread(target=worker, args=(sid,)) for sid in session_ids]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert answers == {sid: [sid] * 25 for sid in session_ids}
+
+
+def test_silent_server_is_unreachable_within_timeout():
+    """The kernel completes the handshake on the listen backlog, so the
+    request is sent, but nothing ever accepts or answers it."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+        started = time.perf_counter()
+        with pytest.raises(Unreachable):
+            HttpProviderTransport(url, timeout=0.3).get_catalog()
+        elapsed = time.perf_counter() - started
+    assert 0.25 < elapsed < 2
+
+
+def test_importing_dataloa_leaves_requests_out():
+    code = (
+        "import sys, dataloa, dataloa.wire, dataloa.cli; "
+        "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=60, check=True,
+    )
+    assert result.stdout.strip() == "[]"
