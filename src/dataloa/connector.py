@@ -15,6 +15,7 @@ FINALIZED session.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -346,9 +347,6 @@ class InMemoryDataSource:
 
     def resolve(self, locator: str) -> bytes:
         return self._payloads[locator]
-
-    def locators(self) -> list[str]:
-        return sorted(self._payloads)
 
 
 class ProviderConnector:
@@ -750,57 +748,95 @@ class ConsumerConnector:
 
 class FileProviderStore:
     """Persist a provider connector's assets, payloads, and sessions to
-    a directory so separate CLI invocations can share state."""
+    a directory so separate CLI invocations can share state.
+
+    Files are named by content, never by id: a payload lives at
+    ``payloads/<claim content hash>``, an asset or session record at
+    ``assets/<sha256(id)>.json`` or ``sessions/<sha256(id)>.json``, so
+    no id can lead outside the root. The instance remembers the content
+    hash of every file it has written or read, and ``save`` writes only
+    the files whose bytes differ. Each write goes to a temp file beside
+    its target and is renamed over it, payloads before the asset records
+    that name them and asset records before sessions, so a save cut off
+    at any point leaves a store that loads. Nothing is fsynced and
+    nothing is locked: the store survives a killed process, not a power
+    loss, and expects one writer at a time.
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self._on_disk: dict[Path, str] = {}  # path -> content hash of its bytes
 
     def save(self, provider: ProviderConnector) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        (self.root / "assets").mkdir(exist_ok=True)
-        (self.root / "payloads").mkdir(exist_ok=True)
-        (self.root / "sessions").mkdir(exist_ok=True)
-        meta = {"provider_id": provider.actor_id}
-        (self.root / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-        for asset_id in sorted(provider._assets):
-            asset = provider._assets[asset_id]
-            path = self.root / "assets" / f"{asset_id}.json"
-            path.write_text(json.dumps(asset.to_dict(public=False), indent=2) + "\n")
-            payload = provider.data_source.resolve(asset.payload_locator)
-            (self.root / "payloads" / asset_id).write_bytes(payload)
+        for kind in ("assets", "payloads", "sessions"):
+            (self.root / kind).mkdir(parents=True, exist_ok=True)
+        self._put_record(self.root / "meta.json", {"provider_id": provider.actor_id})
+        assets = provider._assets
+        for asset_id in sorted(assets):
+            asset = assets[asset_id]
+            # publish has checked this hash against the payload bytes
+            digest = asset.claim.content_hash
+            path = self.root / "payloads" / digest
+            if self._on_disk.get(path) != digest:
+                self._replace(path, provider.data_source.resolve(asset.payload_locator), digest)
+            self._put_record(self._record_path("assets", asset_id), asset.to_dict(public=False))
         for session_id, session in provider._sessions.items():
-            path = self.root / "sessions" / f"{session_id}.json"
-            path.write_text(json.dumps(session.to_dict(), indent=2) + "\n")
+            self._put_record(self._record_path("sessions", session_id), session.to_dict())
 
     def load(self, keys: KeyDirectory, clock=None) -> ProviderConnector:
-        meta = json.loads((self.root / "meta.json").read_text())
+        meta = json.loads(self._read(self.root / "meta.json"))
         provider_key = keys.signer_for(meta["provider_id"])
         provider = ProviderConnector(provider_key=provider_key, keys=keys, clock=clock)
-        assets_dir = self.root / "assets"
-        if assets_dir.is_dir():
-            for path in sorted(assets_dir.glob("*.json")):
-                asset = Asset.from_dict(json.loads(path.read_text()))
-                payload = (self.root / "payloads" / asset.asset_id).read_bytes()
-                provider.publish(
-                    payload=payload,
-                    description=asset.description,
-                    policy=asset.usage_policy,
-                    claim=asset.claim,
-                    attestations=asset.attestation_refs,
-                    asset_id=asset.asset_id,
-                )
-        sessions_dir = self.root / "sessions"
-        if sessions_dir.is_dir():
-            for path in sorted(sessions_dir.glob("*.json")):
-                session = NegotiationSession.from_dict(json.loads(path.read_text()))
-                provider._sessions[session.session_id] = session
-                if session.agreement is not None:
-                    provider._agreements[session.agreement.agreement_id] = session.session_id
-                # Every request leaves one session, so the count per
-                # (asset, consumer) is the next sequence number.
-                pair = (session.asset_id, session.consumer_id)
-                provider._session_seq[pair] = provider._session_seq.get(pair, 0) + 1
+        for path in sorted((self.root / "assets").glob("*.json")):
+            asset = Asset.from_dict(json.loads(self._read(path)))
+            payload_path = self.root / "payloads" / asset.claim.content_hash
+            provider.publish(
+                payload=payload_path.read_bytes(),
+                description=asset.description,
+                policy=asset.usage_policy,
+                claim=asset.claim,
+                attestations=asset.attestation_refs,
+                asset_id=asset.asset_id,
+            )
+            # publish has checked the bytes against their name
+            self._on_disk[payload_path] = asset.claim.content_hash
+        for path in sorted((self.root / "sessions").glob("*.json")):
+            session = NegotiationSession.from_dict(json.loads(self._read(path)))
+            provider._sessions[session.session_id] = session
+            if session.agreement is not None:
+                provider._agreements[session.agreement.agreement_id] = session.session_id
+            # Every request leaves one session, so the count per
+            # (asset, consumer) is the next sequence number.
+            pair = (session.asset_id, session.consumer_id)
+            provider._session_seq[pair] = provider._session_seq.get(pair, 0) + 1
         return provider
+
+    def _record_path(self, kind: str, record_id: str) -> Path:
+        # surrogatepass: any str id gets a name, even one no codec accepts
+        name = content_hash(record_id.encode("utf-8", "surrogatepass"))
+        return self.root / kind / f"{name}.json"
+
+    def _put_record(self, path: Path, record: dict) -> None:
+        data = (json.dumps(record, indent=2) + "\n").encode()
+        digest = content_hash(data)
+        if self._on_disk.get(path) != digest:
+            self._replace(path, data, digest)
+
+    def _replace(self, path: Path, data: bytes, digest: str) -> None:
+        # load globs only *.json, so it never sees a half-written temp file
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        self._on_disk[path] = digest
+
+    def _read(self, path: Path) -> bytes:
+        data = path.read_bytes()
+        self._on_disk[path] = content_hash(data)
+        return data
 
     def exists(self) -> bool:
         return (self.root / "meta.json").is_file()

@@ -443,13 +443,12 @@ class _HttpClient:
             return
         try:
             body = response.json()
-            code = body["error"]
-            message = body.get("message", "")
-        except (ValueError, KeyError):
+            error = error_for_wire_code(body["error"], body.get("message", ""))
+        except (ValueError, KeyError, TypeError):
             raise DataLoaError(
                 f"HTTP {response.status_code} from {response.url}"
             ) from None
-        raise error_for_wire_code(code, message)
+        raise error
 
     def _json_of(self, response: _Response):
         try:
@@ -528,7 +527,10 @@ class HttpAssuranceTransport(_HttpClient):
     def get_revocations(self) -> list[dict]:
         response = self._request("GET", "/revocations")
         self._raise_for_error(response)
-        return self._json_of(response).get("revocations", [])
+        body = self._json_of(response)
+        if not isinstance(body, dict) or not isinstance(body.get("revocations"), list):
+            raise MalformedCatalog(f"no revocation list from {response.url}")
+        return body["revocations"]
 
     def revoke(self, attestation_id: str, reason: str) -> None:
         response = self._request(

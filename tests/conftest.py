@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from dataloa.assurance import AssuranceService
@@ -19,6 +22,21 @@ CONSUMER_ID = make_actor_id("metro-water")
 ASSURER_ID = make_actor_id("trustline-audit")
 
 PAYLOAD = b"well_id,quarter,nitrate_mg_l\nW-001,2026Q1,7\nW-002,2026Q1,12\n"
+
+
+def spy_replace(monkeypatch, fail_after=None):
+    """Record each os.replace target; raise OSError once fail_after have run."""
+    replaced = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if fail_after is not None and len(replaced) >= fail_after:
+            raise OSError("simulated crash")
+        real_replace(src, dst)
+        replaced.append(Path(dst))
+
+    monkeypatch.setattr(os, "replace", replace)
+    return replaced
 
 
 @pytest.fixture

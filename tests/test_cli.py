@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from dataloa.cli import main
 
-from conftest import NOW, PAYLOAD
+from conftest import NOW, PAYLOAD, spy_replace
 
 PROVIDER = "aquifer-labs"
 CONSUMER = "metro-water"
@@ -40,11 +40,11 @@ def _invoke(runner, workspace, *args):
     return runner.invoke(main, argv)
 
 
-def _make_claim(runner, workspace, level=2, out="claim.json"):
+def _make_claim(runner, workspace, level=2, out="claim.json", dataset_id="wells-1"):
     result = _invoke(
         runner, workspace,
         "claim", "create",
-        "--dataset-id", "wells-1",
+        "--dataset-id", dataset_id,
         "--payload", workspace / "payload.csv",
         "--level", level,
         "--dimension", "quality=lab-validated",
@@ -245,6 +245,38 @@ def test_full_pipeline_publish_decide_negotiate_transfer(runner, workspace):
                      "--now", NOW)
     assert result.exit_code == 1
     assert "error" in result.output
+
+
+def test_publish_keeps_a_traversing_id_inside_the_store(runner, workspace):
+    claim_path = _make_claim(runner, workspace, dataset_id="../../escaped")
+    store = workspace / "store" / "inner"
+    result = _invoke(runner, workspace, "publish", "--store", store, "--payload",
+                     workspace / "payload.csv", "--claim", claim_path, "--now", NOW)
+    assert result.exit_code == 0, result.output
+    assert list((workspace / "store").iterdir()) == [store]
+    assert not list(workspace.rglob("escaped*"))
+
+    result = _invoke(runner, workspace, "catalog", "--store", store, "--now", NOW, "--json")
+    assert result.exit_code == 0, result.output
+    assert [a["asset"]["asset_id"] for a in json.loads(result.output)["assets"]] == ["../../escaped"]
+
+
+def test_negotiate_writes_one_session_file_and_nothing_else(runner, workspace, monkeypatch):
+    store = workspace / "store"
+    result = _invoke(runner, workspace, "publish", "--store", store, "--payload",
+                     workspace / "payload.csv", "--claim", _make_claim(runner, workspace),
+                     "--now", NOW)
+    assert result.exit_code == 0, result.output
+    before = {p: p.read_bytes() for p in store.rglob("*") if p.is_file()}
+
+    replaced = spy_replace(monkeypatch)
+    result = _invoke(runner, workspace, "negotiate", "--asset", "wells-1",
+                     "--consumer", CONSUMER, "--store", store, "--now", NOW)
+    assert result.exit_code == 0, result.output
+    assert len(replaced) == 1 and replaced[0].parent == store / "sessions"
+    after = {p: p.read_bytes() for p in store.rglob("*") if p.is_file()}
+    assert after.keys() - before.keys() == {replaced[0]}
+    assert all(after[p] == data for p, data in before.items())
 
 
 def test_decide_requires_a_provider_source(runner, workspace):

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import shutil
 import sys
+import tempfile
 import threading
+import time
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dataloa.connector import (
@@ -41,7 +46,7 @@ from dataloa.errors import (
 from dataloa.model import AssuranceLevel, TrustClaim, make_actor_id
 from dataloa.wire import LocalProviderTransport
 
-from conftest import CONSUMER_ID, NOW, PAYLOAD, PROVIDER_ID
+from conftest import CONSUMER_ID, NOW, PAYLOAD, PROVIDER_ID, spy_replace
 
 
 # -- policies ---------------------------------------------------------------
@@ -724,6 +729,135 @@ def test_reloaded_store_opens_fresh_sessions(tmp_path, published, keys, consumer
     for outcome in outcomes:
         payload, _ = reloaded.transfer(outcome.agreement_id)
         assert payload == PAYLOAD
+
+
+def _store_files(root):
+    """Every file under root, with the inode and mtime that a rewrite changes."""
+    return {
+        path: (path.stat().st_ino, path.stat().st_mtime_ns)
+        for path in root.rglob("*") if path.is_file()
+    }
+
+
+def test_store_resave_after_load_replaces_nothing(tmp_path, monkeypatch, published, keys, consumer):
+    provider, asset, _ = published
+    transport = LocalProviderTransport(provider)
+    assert consumer.negotiate(transport, consumer.fetch_catalog(transport).get(asset.asset_id)).finalized
+    root = tmp_path / "prov"
+    FileProviderStore(root).save(provider)
+    before = _store_files(root)
+    time.sleep(0.02)  # file timestamps tick coarsely; a rewrite must show in st_mtime_ns
+
+    store = FileProviderStore(root)
+    reloaded = store.load(keys, clock=lambda: NOW)
+    replaced = spy_replace(monkeypatch)
+    store.save(reloaded)
+    assert replaced == []
+    assert _store_files(root) == before
+
+
+def test_store_saves_only_what_changed(tmp_path, monkeypatch, published, make_claim):
+    provider, asset, _ = published
+    root = tmp_path / "prov"
+    store = FileProviderStore(root)
+    replaced = spy_replace(monkeypatch)
+    store.save(provider)
+    payload_path = root / "payloads" / asset.claim.content_hash
+    assert replaced == [root / "meta.json", payload_path,
+                        root / "assets" / f"{content_hash(b'wells-1')}.json"]
+    assert payload_path.read_bytes() == PAYLOAD
+
+    second = make_claim(payload=b"other bytes", dataset_id="wells-2")
+    provider.publish(payload=b"other bytes", description="more wells",
+                     policy=default_policy(), claim=second)
+    replaced.clear()
+    store.save(provider)
+    assert replaced == [root / "payloads" / second.content_hash,
+                        root / "assets" / f"{content_hash(b'wells-2')}.json"]
+
+
+def test_store_refuses_a_payload_that_does_not_match_its_name(tmp_path, published, keys):
+    provider, asset, _ = published
+    root = tmp_path / "prov"
+    FileProviderStore(root).save(provider)
+    (root / "payloads" / asset.claim.content_hash).write_bytes(b"tampered at rest")
+    with pytest.raises(HashMismatch):
+        FileProviderStore(root).load(keys, clock=lambda: NOW)
+
+
+def test_store_survives_a_save_cut_off_at_every_write(tmp_path, monkeypatch, published, keys,
+                                                     consumer, make_claim):
+    provider, asset, _ = published
+    first_save = tmp_path / "first"
+    FileProviderStore(first_save).save(provider)
+    for n, dataset_id in enumerate(("wells-2", "wells-3")):
+        payload = f"more bytes {n}".encode()
+        provider.publish(payload=payload, description=dataset_id, policy=default_policy(),
+                         claim=make_claim(payload=payload, dataset_id=dataset_id))
+    transport = LocalProviderTransport(provider)
+    for asset_id in ("wells-1", "wells-2"):
+        consumer.negotiate(transport, consumer.fetch_catalog(transport).get(asset_id))
+    provider_ids = {a.asset_id for a in provider.catalog().assets}
+
+    for first in (True, False):
+        k = 0
+        while True:
+            root = tmp_path / f"cut-{first}-{k}"
+            if not first:
+                shutil.copytree(first_save, root)
+            store = FileProviderStore(root)
+            if not first:
+                store.load(keys, clock=lambda: NOW)
+            with monkeypatch.context() as patch:
+                replaced = spy_replace(patch, fail_after=k)
+                try:
+                    store.save(provider)
+                    done = True
+                except OSError:
+                    done = False
+            assert not list(root.rglob("*.tmp"))
+            if first and k == 0:
+                assert not FileProviderStore(root).exists()
+            else:
+                reloaded = FileProviderStore(root).load(keys, clock=lambda: NOW)
+                loaded_ids = {a.asset_id for a in reloaded.catalog().assets}
+                assert loaded_ids <= provider_ids
+                assert first or "wells-1" in loaded_ids
+                for session in reloaded._sessions.values():
+                    assert session.asset_id in loaded_ids
+            if done:
+                break
+            k += 1
+        # the meta record, three payloads and asset records, two sessions;
+        # a save over the first one rewrites neither meta nor wells-1
+        assert len(replaced) == (9 if first else 6)
+
+
+_ID_PIECES = st.one_of(
+    st.sampled_from(["/", "..", "\\", "../", "..\\", "é", "データ", "\x00", " "]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(asset_ids=st.sets(st.lists(_ID_PIECES, min_size=1, max_size=8).map("".join),
+                         min_size=1, max_size=3))
+def test_store_round_trips_any_asset_id_inside_its_root(asset_ids, keys, make_claim):
+    provider = ProviderConnector(keys.signer_for(PROVIDER_ID), keys, clock=lambda: NOW)
+    for n, asset_id in enumerate(sorted(asset_ids)):
+        payload = f"payload {n}".encode()
+        provider.publish(payload=payload, description=asset_id, policy=default_policy(),
+                         claim=make_claim(payload=payload, dataset_id=f"d-{n}"),
+                         asset_id=asset_id)
+    with tempfile.TemporaryDirectory() as tmp:
+        # deep, so that even a layout that put ids into paths would stay in tmp
+        root = Path(tmp) / "a" / "b" / "c" / "d" / "store"
+        FileProviderStore(root).save(provider)
+        reloaded = FileProviderStore(root).load(keys, clock=lambda: NOW)
+        assert reloaded.catalog().to_dict(public=False) == provider.catalog().to_dict(public=False)
+        for path in Path(tmp).rglob("*"):
+            assert path == root or root in path.parents or path in root.parents
 
 
 def test_verified_catalog_get_returns_first_duplicate(published, consumer):

@@ -18,6 +18,7 @@ from dataloa.connector import NegotiationState
 from dataloa.errors import (
     DataLoaError,
     IllegalTransition,
+    MalformedCatalog,
     NoSuchAgreement,
     NotFinalized,
     UnknownSession,
@@ -478,7 +479,7 @@ def test_idle_connection_closed_by_server_is_replaced():
 
     def answer_once(stream):
         seen.append(_read_request(stream))
-        stream.write(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
+        stream.write(b'HTTP/1.1 200 OK\r\nContent-Length: 19\r\n\r\n{"revocations": []}')
         stream.flush()
 
     with _StubServer(answer_once) as stub, HttpAssuranceTransport(stub.url) as http:
@@ -486,6 +487,33 @@ def test_idle_connection_closed_by_server_is_replaced():
         assert stub.done.acquire(timeout=5)
         assert http.get_revocations() == []
     assert seen == [b"GET /revocations HTTP/1.1\r\n"] * 2
+
+
+def _answer(status: str, body: bytes):
+    """A stub server's serve function: one fixed response per request."""
+
+    def serve(stream):
+        while _read_request(stream):
+            stream.write(f"HTTP/1.1 {status}\r\nContent-Length: {len(body)}\r\n\r\n".encode() + body)
+            stream.flush()
+
+    return serve
+
+
+@pytest.mark.parametrize("body", [b"[1]", b'"busy"', b'{"error": [1]}', b'{"error": {}}', b"<html>"])
+def test_error_response_without_an_error_object_is_plain(body):
+    with _StubServer(_answer("500 Internal Server Error", body)) as stub:
+        with HttpAssuranceTransport(stub.url) as http, pytest.raises(DataLoaError) as caught:
+            http.revoke("att-9", "compromised")
+    assert type(caught.value) is DataLoaError
+    assert str(caught.value) == f"HTTP 500 from {stub.url}/revocations"
+
+
+@pytest.mark.parametrize("body", [b"[1]", b"{}", b'{"revocations": 5}', b'{"revocations": {}}'])
+def test_revocations_without_a_list_are_malformed(body):
+    with _StubServer(_answer("200 OK", body)) as stub, HttpAssuranceTransport(stub.url) as http:
+        with pytest.raises(MalformedCatalog):
+            http.get_revocations()
 
 
 def test_threads_sharing_a_transport_get_their_own_responses(provider_http):
