@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
-from .envelope import KeyDirectory, KeyPair, derived_id, sign_payload, verify_payload
+from .envelope import KeyDirectory, KeyPair
 from .errors import InvalidClaimSignature, ManifestMismatch
 from .model import (
     AssuranceLevel,
@@ -104,12 +104,14 @@ CLAIM_CAP_REASON = "claim-cap"
 
 @dataclass(frozen=True)
 class AuditOutcome:
-    """Result of auditing a claim's evidence for a requested level."""
+    """Result of auditing a claim's evidence for a requested level; the
+    service adds the attestation it issued for a PASS."""
 
     passed: bool
     granted: Optional[AssuranceLevel]
     missing_kinds: tuple[str, ...] = ()
     claim_cap_violation: bool = False
+    attestation: Optional[dict] = None
 
     @property
     def reason(self) -> str:
@@ -123,14 +125,14 @@ class AuditOutcome:
         return "; ".join(parts)
 
     def to_dict(self) -> dict:
-        data: dict = {"result": "PASS" if self.passed else "FAIL"}
-        if self.passed:
-            data["granted_level"] = int(self.granted)
-        else:
-            data["missing_kinds"] = list(self.missing_kinds)
-            data["claim_cap_violation"] = self.claim_cap_violation
-            data["reason"] = self.reason
-        return data
+        """The wire shape, the body of a ``/audits`` response."""
+        return {
+            "passed": self.passed,
+            "attestation": self.attestation,
+            "missing_kinds": list(self.missing_kinds),
+            "claim_cap_violation": self.claim_cap_violation,
+            "reason": self.reason,
+        }
 
 
 def audit(
@@ -152,7 +154,7 @@ def audit(
         raise ValueError("only levels 2 and 3 can be audited")
     if provider_public_key is None:
         raise InvalidClaimSignature(f"no known key for provider {claim.provider_id}")
-    if not verify_payload(claim.signing_payload(), claim.signature, provider_public_key):
+    if not claim.verify_with(provider_public_key):
         raise InvalidClaimSignature(f"claim {claim.claim_id} signature did not verify")
     if manifest.claim_id != claim.claim_id:
         raise ManifestMismatch(
@@ -187,29 +189,14 @@ def issue_attestation(
     """
     if not outcome.passed or outcome.granted is None:
         raise ValueError("attestations can only be issued for PASS outcomes")
-    valid_from = now
-    valid_until = now + reqs.for_level(outcome.granted).max_validity_seconds
     body = {
         "claim_hash": claim.canonical_hash(),
-        "level_assured": int(outcome.granted),
-        "assurer_id": assurer_key.key_id,
+        "level_assured": outcome.granted,
         "evidence_manifest_hash": manifest.canonical_hash(),
-        "valid_from": valid_from,
-        "valid_until": valid_until,
+        "valid_from": now,
+        "valid_until": now + reqs.for_level(outcome.granted).max_validity_seconds,
     }
-    attestation_id = derived_id("attestation", body)
-    payload = {"attestation_id": attestation_id, **body}
-    signature = sign_payload(payload, assurer_key)
-    return Attestation(
-        attestation_id=attestation_id,
-        claim_hash=body["claim_hash"],
-        level_assured=outcome.granted,
-        assurer_id=assurer_key.key_id,
-        evidence_manifest_hash=body["evidence_manifest_hash"],
-        valid_from=valid_from,
-        valid_until=valid_until,
-        signature=signature,
-    )
+    return Attestation.sign(assurer_key, body)
 
 
 @dataclass(frozen=True)
@@ -265,18 +252,6 @@ class RevocationList:
             return len(self._entries)
 
 
-@dataclass(frozen=True)
-class AuditResponse:
-    """Wire-level audit result: an attestation on PASS, else the
-    failure detail."""
-
-    passed: bool
-    attestation: Optional[dict] = None
-    missing_kinds: tuple[str, ...] = ()
-    claim_cap_violation: bool = False
-    reason: str = ""
-
-
 class AssuranceService:
     """One assurance provider: audits claims, issues attestations, and
     maintains the deployment's revocation list."""
@@ -303,7 +278,7 @@ class AssuranceService:
 
     def handle_audit(
         self, claim_data: Mapping, manifest_data: Mapping, requested_level: int
-    ) -> AuditResponse:
+    ) -> AuditOutcome:
         claim = TrustClaim.from_dict(claim_data)
         manifest = EvidenceManifest.from_dict(manifest_data)
         now = self.now()
@@ -316,16 +291,11 @@ class AssuranceService:
             self.keys.public_key_for(claim.provider_id),
         )
         if not outcome.passed:
-            return AuditResponse(
-                passed=False,
-                missing_kinds=outcome.missing_kinds,
-                claim_cap_violation=outcome.claim_cap_violation,
-                reason=outcome.reason,
-            )
+            return outcome
         attestation = issue_attestation(
             claim, manifest, outcome, self.assurer_key, now, self.requirements
         )
-        return AuditResponse(passed=True, attestation=attestation.to_dict())
+        return replace(outcome, attestation=attestation.to_dict())
 
     def revoke(self, attestation_id: str, reason: str) -> None:
         self.revocations.revoke(attestation_id, reason, self.now())

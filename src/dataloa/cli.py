@@ -35,7 +35,6 @@ from .envelope import (
     content_hash,
     generate_keypair,
     save_key_files,
-    verify_payload,
 )
 from .errors import DataLoaError
 from .model import (
@@ -216,11 +215,7 @@ def claim_verify(claim_path, keys_dir, as_json):
     """Check a claim file's signature against the provider's public key."""
     keys = _keys_from(keys_dir)
     parsed = _read_record(TrustClaim, claim_path)
-    public_key = keys.public_key_for(parsed.provider_id)
-    ok = public_key is not None and verify_payload(
-        parsed.signing_payload(), parsed.signature, public_key
-    )
-    if not ok:
+    if not parsed.verify(keys):
         click.echo(f"signature invalid: claim {parsed.claim_id}", err=True)
         raise SystemExit(1)
     _emit(
@@ -354,10 +349,7 @@ def attest_verify(attestation_path, claim_path, keys_dir, now, as_json):
     keys = _keys_from(keys_dir)
     parsed = _read_record(Attestation, attestation_path)
     parsed_claim = _read_record(TrustClaim, claim_path)
-    public_key = keys.public_key_for(parsed.assurer_id)
-    if public_key is None or not verify_payload(
-        parsed.signing_payload(), parsed.signature, public_key
-    ):
+    if not parsed.verify(keys):
         click.echo(f"signature invalid: attestation {parsed.attestation_id}", err=True)
         raise SystemExit(1)
     if parsed.claim_hash != parsed_claim.canonical_hash():
@@ -491,10 +483,8 @@ def decide(asset_id, risk, store, provider_url, assurer_url, config_path,
         raise DataLoaError(f"asset {asset_id} not in catalog")
     revoked = frozenset()
     if assurer_url:
-        revoked = frozenset(
-            e["attestation_id"]
-            for e in HttpAssuranceTransport(assurer_url).get_revocations()
-        )
+        with HttpAssuranceTransport(assurer_url) as assurer:
+            revoked = frozenset(e["attestation_id"] for e in assurer.get_revocations())
     decision = decide_asset(
         vasset, RiskClass.from_value(risk), cfg.consumer_policy, revoked, now
     )

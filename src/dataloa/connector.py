@@ -18,22 +18,13 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .envelope import (
-    KeyDirectory,
-    KeyPair,
-    SignatureEnvelope,
-    content_hash,
-    derived_id,
-    hash_of,
-    sign_payload,
-    verify_payload,
-)
+from .envelope import KeyDirectory, KeyPair, content_hash, derived_id, hash_of
 from .errors import (
     DuplicateAssetId,
     HashMismatch,
@@ -45,7 +36,7 @@ from .errors import (
     NotFinalized,
     UnknownSession,
 )
-from .model import AssuranceLevel, Attestation, TrustClaim, effective_level
+from .model import Agreement, AssuranceLevel, Attestation, TrustClaim, effective_level
 
 PERMITTED_ACTIONS = frozenset({"use", "distribute"})
 
@@ -205,50 +196,6 @@ ABSORBING_STATES = (NegotiationState.FINALIZED, NegotiationState.TERMINATED)
 
 
 @dataclass(frozen=True)
-class Agreement:
-    """Provider-signed record of a successful negotiation, pinning the
-    exact policy and claim the consumer saw."""
-
-    agreement_id: str
-    asset_id: str
-    consumer_id: str
-    provider_id: str
-    policy_hash: str
-    claim_hash: str
-    agreed_at: int
-    signature: SignatureEnvelope
-
-    def signing_payload(self) -> dict:
-        return {
-            "agreement_id": self.agreement_id,
-            "asset_id": self.asset_id,
-            "consumer_id": self.consumer_id,
-            "provider_id": self.provider_id,
-            "policy_hash": self.policy_hash,
-            "claim_hash": self.claim_hash,
-            "agreed_at": self.agreed_at,
-        }
-
-    def to_dict(self) -> dict:
-        data = self.signing_payload()
-        data["signature"] = self.signature.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Agreement":
-        return cls(
-            agreement_id=data["agreement_id"],
-            asset_id=data["asset_id"],
-            consumer_id=data["consumer_id"],
-            provider_id=data["provider_id"],
-            policy_hash=data["policy_hash"],
-            claim_hash=data["claim_hash"],
-            agreed_at=data["agreed_at"],
-            signature=SignatureEnvelope.from_dict(data["signature"]),
-        )
-
-
-@dataclass(frozen=True)
 class NegotiationSession:
     session_id: str
     asset_id: str
@@ -307,28 +254,11 @@ def step(
     if target is NegotiationState.AGREED:
         if agreement is None:
             raise ValueError("AGREE requires an agreement")
-        return NegotiationSession(
-            session_id=session.session_id,
-            asset_id=session.asset_id,
-            consumer_id=session.consumer_id,
-            state=target,
-            agreement=agreement,
-        )
+        return replace(session, state=target, agreement=agreement)
     if target is NegotiationState.TERMINATED:
-        return NegotiationSession(
-            session_id=session.session_id,
-            asset_id=session.asset_id,
-            consumer_id=session.consumer_id,
-            state=target,
-            terminated_reason=reason or "terminated",
-        )
-    return NegotiationSession(
-        session_id=session.session_id,
-        asset_id=session.asset_id,
-        consumer_id=session.consumer_id,
-        state=target,
-        agreement=session.agreement,
-    )
+        return replace(session, state=target, agreement=None,
+                       terminated_reason=reason or "terminated")
+    return replace(session, state=target)
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +329,7 @@ class ProviderConnector:
         this exact claim.
         """
         asset_id = asset_id or claim.dataset_id
-        public_key = self.keys.public_key_for(claim.provider_id)
-        if public_key is None or not verify_payload(
-            claim.canonical_bytes, claim.signature, public_key
-        ):
+        if not claim.verify(self.keys):
             raise InvalidClaim(f"claim {claim.claim_id} signature did not verify")
         actual_hash = content_hash(payload)
         if actual_hash != claim.content_hash:
@@ -482,24 +409,11 @@ class ProviderConnector:
         body = {
             "asset_id": asset.asset_id,
             "consumer_id": session.consumer_id,
-            "provider_id": self.actor_id,
             "policy_hash": asset.usage_policy.canonical_hash(),
             "claim_hash": asset.claim.canonical_hash(),
             "agreed_at": self.now(),
         }
-        agreement_id = derived_id("agreement", {**body, "session_id": session.session_id})
-        payload = {"agreement_id": agreement_id, **body}
-        signature = sign_payload(payload, self.provider_key)
-        return Agreement(
-            agreement_id=agreement_id,
-            asset_id=body["asset_id"],
-            consumer_id=body["consumer_id"],
-            provider_id=body["provider_id"],
-            policy_hash=body["policy_hash"],
-            claim_hash=body["claim_hash"],
-            agreed_at=body["agreed_at"],
-            signature=signature,
-        )
+        return Agreement.sign(self.provider_key, body, session_id=session.session_id)
 
     def get_session(self, session_id: str) -> NegotiationSession:
         session = self._sessions.get(session_id)
@@ -545,8 +459,8 @@ class VerifiedAsset:
     """Consumer-side view of one catalog asset after re-verification.
 
     ``valid_attestations`` hold only signature-verified attestations
-    bound to this asset's claim; time windows and revocation are left
-    to the decision point. Everything that failed verification is
+    bound to this asset's claim by an assurer other than its provider;
+    time windows and revocation are left to the decision point. Everything that failed verification is
     listed in ``ignored`` with its cause, and the asset is flagged.
     """
 
@@ -640,32 +554,31 @@ class ConsumerConnector:
         ignored: list[tuple[str, str]] = []
 
         claim = asset.claim
-        claim_key = self.keys.public_key_for(claim.provider_id)
-        if claim_key is None:
-            claim_valid = False
-            problems.append(f"no known key for claim provider {claim.provider_id}")
+        claim_valid = False
+        if claim.provider_id != provider_id:
+            problems.append(
+                f"claim {claim.claim_id} invalid (claim-provider-mismatch): "
+                f"signed by {claim.provider_id}, listed by {provider_id}"
+            )
+        elif not claim.verify(self.keys):
+            problems.append(f"claim {claim.claim_id} signature invalid")
         else:
-            claim_valid = verify_payload(claim.canonical_bytes, claim.signature, claim_key)
-            if not claim_valid:
-                problems.append(f"claim {claim.claim_id} signature invalid")
+            claim_valid = True
 
         claim_hash = claim.canonical_hash()
         valid: list[Attestation] = []
         for att in asset.attestation_refs:
             if att.claim_hash != claim_hash:
-                ignored.append((att.attestation_id, "claim-hash-mismatch"))
-                problems.append(
-                    f"attestation {att.attestation_id} does not bind to the asset claim"
-                )
+                cause = "claim-hash-mismatch"
+            elif att.assurer_id == claim.provider_id:
+                cause = "self-attested"
+            elif not att.verify(self.keys):
+                cause = "signature-invalid"
+            else:
+                valid.append(att)
                 continue
-            att_key = self.keys.public_key_for(att.assurer_id)
-            if att_key is None or not verify_payload(
-                att.canonical_bytes, att.signature, att_key
-            ):
-                ignored.append((att.attestation_id, "signature-invalid"))
-                problems.append(f"attestation {att.attestation_id} signature invalid")
-                continue
-            valid.append(att)
+            ignored.append((att.attestation_id, cause))
+            problems.append(f"attestation {att.attestation_id} ignored ({cause})")
 
         return VerifiedAsset(
             asset=asset,
@@ -683,10 +596,9 @@ class ConsumerConnector:
         asset = vasset.asset
         policy_hash = asset.usage_policy.canonical_hash()
         claim_hash = asset.claim.canonical_hash()
-        raw = transport.request_negotiation(
+        session = _session_of(transport.request_negotiation(
             asset.asset_id, self.consumer_id, policy_hash, claim_hash
-        )
-        session = NegotiationSession.from_dict(raw)
+        ))
         if session.state is not NegotiationState.AGREED:
             return NegotiationOutcome(
                 session=session, finalized=False, refusal_reason=session.terminated_reason
@@ -696,9 +608,7 @@ class ConsumerConnector:
         )
         if refusal is not None:
             return NegotiationOutcome(session=session, finalized=False, refusal_reason=refusal)
-        final = NegotiationSession.from_dict(
-            transport.finalize_negotiation(session.session_id)
-        )
+        final = _session_of(transport.finalize_negotiation(session.session_id))
         return NegotiationOutcome(
             session=final, finalized=final.state is NegotiationState.FINALIZED
         )
@@ -721,10 +631,7 @@ class ConsumerConnector:
             return "agreement-policy-hash-mismatch"
         if agreement.claim_hash != claim_hash:
             return "agreement-claim-hash-mismatch"
-        key = self.keys.public_key_for(agreement.provider_id)
-        if key is None or not verify_payload(
-            agreement.signing_payload(), agreement.signature, key
-        ):
+        if not agreement.verify(self.keys):
             return "agreement-signature-invalid"
         return None
 
@@ -739,6 +646,13 @@ class ConsumerConnector:
                 + (f" (provider declared {declared})" if declared != actual else "")
             )
         return payload
+
+
+def _session_of(raw) -> NegotiationSession:
+    try:
+        return NegotiationSession.from_dict(raw)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedCatalog(f"negotiation response not parseable: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------

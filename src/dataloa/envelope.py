@@ -232,11 +232,13 @@ def generate_keypair(key_id: str, alg: str = DEFAULT_SIGNATURE_ALG) -> KeyPair:
 
 def sign_payload(payload: Any, keypair: KeyPair) -> SignatureEnvelope:
     """Sign the canonical bytes of ``payload`` (which must not contain
-    a ``signature`` field of its own)."""
+    a ``signature`` field of its own); ``payload`` may also be those
+    bytes, already encoded, as for ``verify_payload``."""
     if keypair.secret is None:
         raise SigningFailure(f"no secret key material for {keypair.key_id}")
     scheme = _scheme_for(keypair.alg)
-    sig = scheme.sign(keypair.secret, canonicalize(payload))
+    message = payload if isinstance(payload, bytes) else canonicalize(payload)
+    sig = scheme.sign(keypair.secret, message)
     return SignatureEnvelope(alg=keypair.alg, key_id=keypair.key_id, sig=sig)
 
 

@@ -1,4 +1,5 @@
-"""Core domain types: assurance levels, actors, claims, attestations.
+"""Core domain types: assurance levels, actors, and the three signed
+records: claims, attestations and agreements.
 
 The level taxonomy is a fixed four-step ordinal scale. A provider's
 claim alone can never establish more than SELF_ASSERTED; higher levels
@@ -8,20 +9,23 @@ the effective level above what the provider claimed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from functools import cached_property
+from operator import attrgetter, itemgetter
 from typing import Collection, Iterable, Mapping, Optional
 
 from .envelope import (
-    SignatureEnvelope,
+    KeyDirectory,
     KeyPair,
+    SignatureEnvelope,
     content_hash,
     derived_id,
     encode_typed,
     hash_of,
     is_hash_hex,
     sign_payload,
+    verify_payload,
 )
 
 ACTOR_URN_PREFIX = "urn:actor:"
@@ -69,66 +73,116 @@ def make_actor_id(name: str) -> str:
     return f"{ACTOR_URN_PREFIX}{name}"
 
 
-@dataclass(frozen=True)
-class ActorIdentity:
-    """A named participant: provider, consumer, or assurance provider."""
-
-    actor_id: str
-    role: ActorRole
-    public_key: str
-
-    def __post_init__(self):
-        if not self.actor_id.startswith(ACTOR_URN_PREFIX) or self.actor_id == ACTOR_URN_PREFIX:
-            raise ValueError(f"actor_id must have the form {ACTOR_URN_PREFIX}<name>")
-        if not self.public_key:
-            raise ValueError("public_key must be non-empty")
-
-    @property
-    def name(self) -> str:
-        return self.actor_id[len(ACTOR_URN_PREFIX):]
-
-    def to_dict(self) -> dict:
-        return {
-            "actor_id": self.actor_id,
-            "role": self.role.value,
-            "public_key": self.public_key,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ActorIdentity":
-        return cls(
-            actor_id=data["actor_id"],
-            role=ActorRole(data["role"]),
-            public_key=data["public_key"],
-        )
-
-
 def validate_dimensions(dimensions: Mapping[str, str]) -> dict[str, str]:
     """Validate and copy a trust-dimension map.
 
     Keys are restricted to availability / quality / security /
     compatibility; values are free-text evidence summaries.
     """
+    dimensions = dict(dimensions)
     bad = set(dimensions) - DIMENSION_NAMES
     if bad:
         raise ValueError(f"unknown trust dimensions: {sorted(bad)}")
     for key, value in dimensions.items():
         if not isinstance(value, str):
             raise ValueError(f"dimension {key!r} must map to a string")
-    return dict(dimensions)
+    return dimensions
 
 
-def _check_str(value, label: str) -> None:
-    if not isinstance(value, str):
-        raise ValueError(f"{label} must be a string")
+def _check_str(record, *labels: str) -> None:
+    for label in labels:
+        if not isinstance(getattr(record, label), str):
+            raise ValueError(f"{label} must be a string")
 
 
-def _check_epoch(value, label: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{label} must be an integer epoch timestamp")
-    return value
+def _check_hash(record, *labels: str) -> None:
+    for label in labels:
+        if not is_hash_hex(getattr(record, label)):
+            raise ValueError(f"{label} must be 64 lowercase hex chars")
 
 
+def _check_epoch(record, *labels: str) -> None:
+    for label in labels:
+        value = getattr(record, label)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{label} must be an integer epoch timestamp")
+
+
+def signed_record(kind: str, signer: str):
+    """Class decorator for a frozen dataclass whose first field is the
+    record's id and whose last is its ``signature`` over every other
+    field, ``signer`` naming the field that holds the signer's actor id.
+
+    The class's ``__post_init__`` must type-check every signed field, so
+    ``canonical_bytes`` can skip ``canonicalize``'s type walk. The
+    methods are set on the class itself, not inherited, so each record
+    type holds its own ``from_dict``.
+    """
+
+    def install(cls):
+        names = tuple(f.name for f in fields(cls))[:-1]
+        id_field = names[0]
+        attrs_of = attrgetter(*names)
+        items_of = itemgetter(*names)
+
+        def signing_payload(self) -> dict:
+            return dict(zip(names, attrs_of(self)))
+
+        def canonical_bytes(self) -> bytes:
+            """Canonical bytes of the signing payload, encoded once per
+            record: the message its signature covers."""
+            return encode_typed(self.signing_payload())
+
+        def to_dict(self) -> dict:
+            data = self.signing_payload()
+            data["signature"] = self.signature.to_dict()
+            return data
+
+        def from_dict(cls, data: Mapping):
+            return cls(*items_of(data), SignatureEnvelope.from_dict(data["signature"]))
+
+        def sign(cls, key: KeyPair, body: Mapping, record_id: Optional[str] = None, **id_salt):
+            """The record of ``body`` signed by ``key``, whose id is the
+            signer. The record id, unless given, is derived from the body
+            and ``id_salt``, so identical inputs mint the same record."""
+            body = {**body, signer: key.key_id}
+            if record_id is None:
+                record_id = derived_id(kind, {**body, **id_salt})
+            record = cls(**{id_field: record_id}, **body, signature=None)
+            # Set once, before the record is handed out; signs the bytes
+            # the constructor has already type-checked.
+            object.__setattr__(record, "signature", sign_payload(record.canonical_bytes, key))
+            return record
+
+        def verify(self, keys: KeyDirectory) -> bool:
+            """True iff the signature verifies under the signer's key in
+            ``keys``; False also when ``keys`` holds no key for it."""
+            return self.verify_with(keys.public_key_for(getattr(self, signer)))
+
+        def verify_with(self, public_key: Optional[str]) -> bool:
+            """True iff the signature verifies under ``public_key``."""
+            return public_key is not None and verify_payload(
+                self.canonical_bytes, self.signature, public_key
+            )
+
+        cached = cached_property(canonical_bytes)
+        cached.__set_name__(cls, "canonical_bytes")
+        for name, value in (
+            ("signing_payload", signing_payload),
+            ("canonical_bytes", cached),
+            ("to_dict", to_dict),
+            ("from_dict", classmethod(from_dict)),
+            ("sign", classmethod(sign)),
+            ("verify", verify),
+            ("verify_with", verify_with),
+        ):
+            setattr(cls, name, value)
+        return cls
+
+    return install
+
+
+@signed_record("claim", signer="provider_id")
 @dataclass(frozen=True)
 class TrustClaim:
     """Provider-signed statement binding a dataset's content hash to a
@@ -144,56 +198,18 @@ class TrustClaim:
     signature: SignatureEnvelope
 
     def __post_init__(self):
-        # Every signed field is type-checked here, so canonical_bytes
-        # needs no type walk.
-        for label in ("claim_id", "dataset_id", "provider_id"):
-            _check_str(getattr(self, label), label)
+        _check_str(self, "claim_id", "dataset_id", "provider_id")
+        object.__setattr__(self, "level_claimed", AssuranceLevel.from_value(self.level_claimed))
         if self.level_claimed < AssuranceLevel.SELF_ASSERTED:
             raise ValueError("a claim cannot claim UNASSERTED")
-        if not is_hash_hex(self.content_hash):
-            raise ValueError("content_hash must be 64 lowercase hex chars")
+        _check_hash(self, "content_hash")
         object.__setattr__(self, "dimensions", validate_dimensions(self.dimensions))
-        _check_epoch(self.issued_at, "issued_at")
-
-    def signing_payload(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "dataset_id": self.dataset_id,
-            "content_hash": self.content_hash,
-            "level_claimed": int(self.level_claimed),
-            "dimensions": self.dimensions,
-            "issued_at": self.issued_at,
-            "provider_id": self.provider_id,
-        }
-
-    @cached_property
-    def canonical_bytes(self) -> bytes:
-        """Canonical bytes of the signing payload, encoded once per
-        claim: the message its signature covers."""
-        return encode_typed(self.signing_payload())
+        _check_epoch(self, "issued_at")
 
     def canonical_hash(self) -> str:
         """Digest over the claim's canonical bytes (signature excluded);
         attestations bind to this value."""
         return content_hash(self.canonical_bytes)
-
-    def to_dict(self) -> dict:
-        data = self.signing_payload()
-        data["signature"] = self.signature.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "TrustClaim":
-        return cls(
-            claim_id=data["claim_id"],
-            dataset_id=data["dataset_id"],
-            content_hash=data["content_hash"],
-            level_claimed=AssuranceLevel.from_value(data["level_claimed"]),
-            dimensions=dict(data.get("dimensions", {})),
-            issued_at=data["issued_at"],
-            provider_id=data["provider_id"],
-            signature=SignatureEnvelope.from_dict(data["signature"]),
-        )
 
 
 def create_claim(
@@ -210,29 +226,14 @@ def create_claim(
     The claim id is derived from the claim's own content unless given,
     so identical inputs always mint the same claim.
     """
-    level = AssuranceLevel.from_value(level)
     body = {
         "dataset_id": dataset_id,
         "content_hash": payload_hash,
-        "level_claimed": int(level),
+        "level_claimed": AssuranceLevel.from_value(level),
         "dimensions": validate_dimensions(dimensions),
         "issued_at": issued_at,
-        "provider_id": provider_key.key_id,
     }
-    if claim_id is None:
-        claim_id = derived_id("claim", body)
-    payload = {"claim_id": claim_id, **body}
-    signature = sign_payload(payload, provider_key)
-    return TrustClaim(
-        claim_id=claim_id,
-        dataset_id=dataset_id,
-        content_hash=payload_hash,
-        level_claimed=level,
-        dimensions=dict(dimensions),
-        issued_at=issued_at,
-        provider_id=provider_key.key_id,
-        signature=signature,
-    )
+    return TrustClaim.sign(provider_key, body, record_id=claim_id)
 
 
 @dataclass(frozen=True)
@@ -278,7 +279,7 @@ class EvidenceManifest:
         if not self.artifacts:
             raise ValueError("evidence manifest requires at least one artifact")
         object.__setattr__(self, "artifacts", tuple(self.artifacts))
-        _check_epoch(self.created_at, "created_at")
+        _check_epoch(self, "created_at")
 
     def kinds(self) -> set[str]:
         return {a.kind for a in self.artifacts}
@@ -326,6 +327,7 @@ def build_manifest(
     )
 
 
+@signed_record("attestation", signer="assurer_id")
 @dataclass(frozen=True)
 class Attestation:
     """Assurance-provider-signed audit result binding a claim hash to an
@@ -341,58 +343,38 @@ class Attestation:
     signature: SignatureEnvelope
 
     def __post_init__(self):
-        # Every signed field is type-checked here, so canonical_bytes
-        # needs no type walk.
-        _check_str(self.attestation_id, "attestation_id")
-        _check_str(self.assurer_id, "assurer_id")
+        _check_str(self, "attestation_id", "assurer_id")
+        object.__setattr__(self, "level_assured", AssuranceLevel.from_value(self.level_assured))
         if self.level_assured not in (AssuranceLevel.AUDITED, AssuranceLevel.AUDITED_HIGH):
             raise ValueError("level_assured must be AUDITED or AUDITED_HIGH")
-        if not is_hash_hex(self.claim_hash):
-            raise ValueError("claim_hash must be 64 lowercase hex chars")
-        if not is_hash_hex(self.evidence_manifest_hash):
-            raise ValueError("evidence_manifest_hash must be 64 lowercase hex chars")
-        _check_epoch(self.valid_from, "valid_from")
-        _check_epoch(self.valid_until, "valid_until")
+        _check_hash(self, "claim_hash", "evidence_manifest_hash")
+        _check_epoch(self, "valid_from", "valid_until")
         if not self.valid_from < self.valid_until:
             raise ValueError("valid_from must precede valid_until")
 
     def valid_at(self, now: int) -> bool:
         return self.valid_from <= now <= self.valid_until
 
-    def signing_payload(self) -> dict:
-        return {
-            "attestation_id": self.attestation_id,
-            "claim_hash": self.claim_hash,
-            "level_assured": int(self.level_assured),
-            "assurer_id": self.assurer_id,
-            "evidence_manifest_hash": self.evidence_manifest_hash,
-            "valid_from": self.valid_from,
-            "valid_until": self.valid_until,
-        }
 
-    @cached_property
-    def canonical_bytes(self) -> bytes:
-        """Canonical bytes of the signing payload, encoded once per
-        attestation: the message its signature covers."""
-        return encode_typed(self.signing_payload())
+@signed_record("agreement", signer="provider_id")
+@dataclass(frozen=True)
+class Agreement:
+    """Provider-signed record of a successful negotiation, pinning the
+    exact policy and claim the consumer saw."""
 
-    def to_dict(self) -> dict:
-        data = self.signing_payload()
-        data["signature"] = self.signature.to_dict()
-        return data
+    agreement_id: str
+    asset_id: str
+    consumer_id: str
+    provider_id: str
+    policy_hash: str
+    claim_hash: str
+    agreed_at: int
+    signature: SignatureEnvelope
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Attestation":
-        return cls(
-            attestation_id=data["attestation_id"],
-            claim_hash=data["claim_hash"],
-            level_assured=AssuranceLevel.from_value(data["level_assured"]),
-            assurer_id=data["assurer_id"],
-            evidence_manifest_hash=data["evidence_manifest_hash"],
-            valid_from=data["valid_from"],
-            valid_until=data["valid_until"],
-            signature=SignatureEnvelope.from_dict(data["signature"]),
-        )
+    def __post_init__(self):
+        _check_str(self, "agreement_id", "asset_id", "consumer_id", "provider_id")
+        _check_hash(self, "policy_hash", "claim_hash")
+        _check_epoch(self, "agreed_at")
 
 
 def effective_level(

@@ -179,10 +179,9 @@ def decide(
         )
         if claim is None:
             reasons.insert(1, "no valid claim; asset is unasserted")
-            for problem in vasset.problems:
-                reasons.append(problem)
         elif effective == AssuranceLevel.SELF_ASSERTED and not counted:
             reasons.insert(1, "claim is self-asserted with no valid attestation")
+        reasons.extend(vasset.problems)
 
     return Decision(
         verdict=verdict,

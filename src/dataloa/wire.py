@@ -26,7 +26,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 from typing import NamedTuple, Optional, Protocol
 
-from .assurance import AssuranceService, AuditResponse
+from .assurance import AssuranceService
 from .connector import ProviderConnector
 from .errors import (
     DataLoaError,
@@ -121,25 +121,13 @@ class LocalAssuranceTransport:
         self.service = service
 
     def request_audit(self, claim: dict, manifest: dict, requested_level: int) -> dict:
-        return _audit_response_dict(
-            self.service.handle_audit(claim, manifest, requested_level)
-        )
+        return self.service.handle_audit(claim, manifest, requested_level).to_dict()
 
     def get_revocations(self) -> list[dict]:
         return self.service.revocations.to_list()
 
     def revoke(self, attestation_id: str, reason: str) -> None:
         self.service.revoke(attestation_id, reason)
-
-
-def _audit_response_dict(response: AuditResponse) -> dict:
-    return {
-        "passed": response.passed,
-        "attestation": response.attestation,
-        "missing_kinds": list(response.missing_kinds),
-        "claim_cap_violation": response.claim_cap_violation,
-        "reason": response.reason,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +263,10 @@ class _AssuranceHandler(_QuietHandler):
         try:
             if self.path == "/audits":
                 body = self._read_json()
-                response = self.service.handle_audit(
+                outcome = self.service.handle_audit(
                     body["claim"], body["manifest"], body["requested_level"]
                 )
-                if response.passed:
-                    self._send_json(200, response.attestation)
-                else:
-                    self._send_json(
-                        422,
-                        {
-                            "missing_kinds": list(response.missing_kinds),
-                            "claim_cap_violation": response.claim_cap_violation,
-                            "reason": response.reason,
-                        },
-                    )
+                self._send_json(200 if outcome.passed else 422, outcome.to_dict())
             elif self.path == "/revocations":
                 body = self._read_json()
                 self.service.revoke(body["attestation_id"], body.get("reason", ""))
@@ -506,31 +484,23 @@ class HttpAssuranceTransport(_HttpClient):
             "/audits",
             {"claim": claim, "manifest": manifest, "requested_level": requested_level},
         )
-        if response.status_code == 422:
-            body = self._json_of(response)
-            return {
-                "passed": False,
-                "attestation": None,
-                "missing_kinds": body.get("missing_kinds", []),
-                "claim_cap_violation": body.get("claim_cap_violation", False),
-                "reason": body.get("reason", ""),
-            }
-        self._raise_for_error(response)
-        return {
-            "passed": True,
-            "attestation": self._json_of(response),
-            "missing_kinds": [],
-            "claim_cap_violation": False,
-            "reason": "",
-        }
+        if response.status_code != 422:  # a failed audit, not an error
+            self._raise_for_error(response)
+        body = self._json_of(response)
+        if not isinstance(body, dict) or not isinstance(body.get("passed"), bool):
+            raise MalformedCatalog(f"no audit outcome from {response.url}")
+        return body
 
     def get_revocations(self) -> list[dict]:
         response = self._request("GET", "/revocations")
         self._raise_for_error(response)
         body = self._json_of(response)
-        if not isinstance(body, dict) or not isinstance(body.get("revocations"), list):
+        entries = body.get("revocations") if isinstance(body, dict) else None
+        if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("attestation_id"), str) for e in entries
+        ):
             raise MalformedCatalog(f"no revocation list from {response.url}")
-        return body["revocations"]
+        return entries
 
     def revoke(self, attestation_id: str, reason: str) -> None:
         response = self._request(

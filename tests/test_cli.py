@@ -284,6 +284,26 @@ def test_decide_requires_a_provider_source(runner, workspace):
     assert result.exit_code == 2
 
 
+def test_decide_reports_a_malformed_revocation_list(runner, workspace):
+    """An assurer answering ``{"revocations": [1]}``: an error line and
+    exit 1, not a traceback."""
+    from test_wire import _StubServer, _answer
+
+    claim_path = _make_claim(runner, workspace, level=1)
+    store = workspace / "store"
+    result = _invoke(runner, workspace, "publish", "--store", store,
+                     "--payload", workspace / "payload.csv", "--claim", claim_path,
+                     "--now", NOW)
+    assert result.exit_code == 0, result.output
+    with _StubServer(_answer("200 OK", b'{"revocations": [1]}')) as stub:
+        result = _invoke(runner, workspace, "decide", "--asset", "wells-1",
+                         "--risk", "LOW", "--store", store, "--assurer-url", stub.url,
+                         "--now", NOW)
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "error: no revocation list from" in result.output
+
+
 def test_scenario_run_writes_report(tmp_path, runner):
     report_path = tmp_path / "report.json"
     result = runner.invoke(main, [

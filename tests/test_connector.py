@@ -869,3 +869,88 @@ def test_verified_catalog_get_returns_first_duplicate(published, consumer):
     assert catalog.get(asset.asset_id) is catalog.assets[0]
     assert catalog.get(asset.asset_id).asset.description == "well data"
     assert catalog.get("no-such-asset") is None
+
+
+# -- independent assurance at the consumer -----------------------------------
+
+
+def test_self_attested_attestation_is_ignored_and_flagged(provider, consumer, keys,
+                                                          provider_key, make_claim,
+                                                          make_manifest):
+    """A provider auditing its own claim with its own key earns nothing:
+    the attestation is ignored, the asset flagged, and HIGH rejects."""
+    from dataloa.assurance import AssuranceService
+    from dataloa.model import Attestation
+    from dataloa.policy_engine import ConsumerPolicy, Verdict, decide
+
+    claim = make_claim(level=3)
+    self_assurer = AssuranceService(provider_key, keys, clock=lambda: NOW)
+    response = self_assurer.handle_audit(
+        claim.to_dict(),
+        make_manifest(claim, kinds=("quality-report", "provenance-record",
+                                    "integrity-monitoring", "security-assessment")).to_dict(),
+        3,
+    )
+    att = Attestation.from_dict(response.attestation)
+    assert att.assurer_id == PROVIDER_ID
+    provider.publish(payload=PAYLOAD, description="", policy=default_policy(),
+                     claim=claim, attestations=(att,))
+
+    vasset = consumer.fetch_catalog(LocalProviderTransport(provider)).assets[0]
+    assert vasset.claim_valid
+    assert vasset.valid_attestations == ()
+    assert vasset.ignored == ((att.attestation_id, "self-attested"),)
+    assert vasset.flagged
+    decision = decide(vasset, "HIGH", ConsumerPolicy.default(), frozenset(), NOW)
+    assert decision.verdict is Verdict.REJECT
+    assert decision.effective is AssuranceLevel.SELF_ASSERTED
+    assert any("self-attested" in reason for reason in decision.reasons)
+
+
+def test_claim_from_another_provider_is_invalid(provider, consumer, keys):
+    """A catalog relisting a claim that another actor signed: the claim
+    verifies under its signer's key, but it is not the catalog's."""
+    from dataloa.model import create_claim
+
+    other = keys.signer_for(make_actor_id("trustline-audit"))
+    claim = create_claim("wells-1", content_hash(PAYLOAD), 1, {}, other, NOW)
+    assert claim.verify(keys)
+    provider.publish(payload=PAYLOAD, description="", policy=default_policy(), claim=claim)
+
+    vasset = consumer.fetch_catalog(LocalProviderTransport(provider)).assets[0]
+    assert not vasset.claim_valid
+    assert vasset.flagged
+    assert any("claim-provider-mismatch" in p for p in vasset.problems)
+    assert vasset.effective(frozenset(), NOW) is AssuranceLevel.UNASSERTED
+
+
+# -- malformed negotiation responses ------------------------------------------
+
+
+class _NegotiationStub(LocalProviderTransport):
+    """A provider transport whose negotiation answers are replaced."""
+
+    def __init__(self, provider, request=None, finalize=None):
+        super().__init__(provider)
+        self.request, self.finalize = request, finalize
+
+    def request_negotiation(self, *args):
+        real = super().request_negotiation(*args)
+        return real if self.request is None else self.request
+
+    def finalize_negotiation(self, session_id):
+        real = super().finalize_negotiation(session_id)
+        return real if self.finalize is None else self.finalize
+
+
+@pytest.mark.parametrize("answer", [{}, [], "agreed", {"session_id": "s"},
+                                    {"session_id": "s", "asset_id": "a",
+                                     "consumer_id": "c", "state": "BOGUS"}])
+@pytest.mark.parametrize("step_name", ["request", "finalize"])
+def test_malformed_negotiation_response_is_malformed_catalog(published, consumer,
+                                                             answer, step_name):
+    provider, asset, _ = published
+    transport = _NegotiationStub(provider, **{step_name: answer})
+    vasset = consumer.fetch_catalog(transport).get(asset.asset_id)
+    with pytest.raises(MalformedCatalog):
+        consumer.negotiate(transport, vasset)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataloa.connector import Agreement
 from dataloa.envelope import (
+    KeyDirectory,
     SignatureEnvelope,
     canonicalize,
     content_hash,
@@ -335,6 +339,11 @@ _FIELD_VALUES = _JSON | st.dictionaries(
 _VALID = {
     TrustClaim: _PROP_CLAIMS[2].to_dict(),
     Attestation: _attestation(_PROP_CLAIMS[2]).to_dict(),
+    Agreement: Agreement(
+        agreement_id="agr", asset_id="d", consumer_id="c", provider_id="p",
+        policy_hash="11" * 32, claim_hash="22" * 32, agreed_at=NOW,
+        signature=SignatureEnvelope(alg="ed25519", key_id="p", sig="00" * 64),
+    ).to_dict(),
 }
 _DROP = object()
 
@@ -353,7 +362,7 @@ def _records(cls):
     return st.integers(0, 3).flatmap(lambda i: edited if i else _JSON)
 
 
-@pytest.mark.parametrize("cls", [TrustClaim, Attestation])
+@pytest.mark.parametrize("cls", [TrustClaim, Attestation, Agreement])
 @settings(max_examples=200)
 @given(data=st.data())
 def test_decoded_records_encode_like_canonicalize(cls, data):
@@ -376,3 +385,55 @@ def test_decoded_records_encode_like_canonicalize(cls, data):
 def test_records_reject_non_string_ids(cls, field):
     with pytest.raises(ValueError, match=field):
         cls.from_dict({**_VALID[cls], field: [1]})
+
+
+# -- one pattern for every signed record --------------------------------------
+
+_SIGNER = generate_keypair(make_actor_id("signer"))
+
+
+def _signed(kind):
+    """A record of ``kind`` signed by ``_SIGNER`` through ``sign``."""
+    if kind is TrustClaim:
+        return create_claim("d", content_hash(PAYLOAD), 2, {"quality": "ok"}, _SIGNER, NOW)
+    if kind is Attestation:
+        return Attestation.sign(_SIGNER, {
+            "claim_hash": "11" * 32, "level_assured": 3, "evidence_manifest_hash": "22" * 32,
+            "valid_from": NOW, "valid_until": NOW + 100,
+        })
+    return Agreement.sign(_SIGNER, {
+        "asset_id": "d", "consumer_id": "c", "policy_hash": "11" * 32,
+        "claim_hash": "22" * 32, "agreed_at": NOW,
+    }, session_id="s-1")
+
+
+@pytest.mark.parametrize("kind", [TrustClaim, Attestation, Agreement])
+def test_signed_records_round_trip_and_verify(kind):
+    record = _signed(kind)
+    assert kind.from_dict(record.to_dict()) == record
+    assert record.canonical_bytes == canonicalize(record.signing_payload())
+    assert record.verify(KeyDirectory({_SIGNER.key_id: _SIGNER.public_only()}))
+
+    other = generate_keypair(_SIGNER.key_id)
+    sig = record.signature.sig
+    flipped = dataclasses.replace(
+        record, signature=dataclasses.replace(
+            record.signature, sig=("0" if sig[0] != "0" else "1") + sig[1:]
+        ),
+    )
+    assert not record.verify(KeyDirectory())  # unknown signer
+    assert not record.verify(KeyDirectory({other.key_id: other}))  # wrong key
+    assert not flipped.verify(KeyDirectory({_SIGNER.key_id: _SIGNER}))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("agreed_at", float(NOW)),
+    ("agreed_at", True),
+    ("agreement_id", 5),
+    ("consumer_id", None),
+    ("provider_id", ["p"]),
+    ("claim_hash", "not-a-hash"),
+])
+def test_agreement_rejects_wrong_typed_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        Agreement.from_dict({**_VALID[Agreement], field: value})

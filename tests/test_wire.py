@@ -509,11 +509,42 @@ def test_error_response_without_an_error_object_is_plain(body):
     assert str(caught.value) == f"HTTP 500 from {stub.url}/revocations"
 
 
-@pytest.mark.parametrize("body", [b"[1]", b"{}", b'{"revocations": 5}', b'{"revocations": {}}'])
+@pytest.mark.parametrize("body", [
+    b"[1]", b"{}", b'{"revocations": 5}', b'{"revocations": {}}',
+    # entries that are not objects with a string attestation_id
+    b'{"revocations": [1]}', b'{"revocations": [{}]}',
+    b'{"revocations": [{"attestation_id": 5}]}', b'{"revocations": [{"attestation_id": "a"}, null]}',
+])
 def test_revocations_without_a_list_are_malformed(body):
     with _StubServer(_answer("200 OK", body)) as stub, HttpAssuranceTransport(stub.url) as http:
         with pytest.raises(MalformedCatalog):
             http.get_revocations()
+
+
+@pytest.mark.parametrize("status,body", [
+    ("200 OK", b"{}"),
+    ("200 OK", b"[1]"),
+    ("200 OK", b'{"passed": "yes"}'),
+    ("422 Unprocessable Entity", b"{}"),
+    ("422 Unprocessable Entity", b"<html>"),
+])
+def test_audit_response_without_a_boolean_passed_is_malformed(status, body):
+    with _StubServer(_answer(status, body)) as stub, HttpAssuranceTransport(stub.url) as http:
+        with pytest.raises(MalformedCatalog):
+            http.request_audit({}, {}, 2)
+
+
+def test_audit_response_body_is_the_outcome(assurance_http, make_claim, make_manifest):
+    """Both statuses carry the whole outcome, the dict the in-process
+    transport returns."""
+    http, assurance = assurance_http
+    claim = make_claim(level=2)
+    for kinds, status in (("quality-report", "provenance-record"), 200), (("quality-report",), 422):
+        request = {"claim": claim.to_dict(), "manifest": make_manifest(claim, kinds=kinds).to_dict(),
+                   "requested_level": 2}
+        got_status, _, raw = _call(http.base_url, "POST", "/audits", request)
+        local = LocalAssuranceTransport(assurance).request_audit(*request.values())
+        assert (got_status, json.loads(raw)) == (status, local)
 
 
 def test_threads_sharing_a_transport_get_their_own_responses(provider_http):
