@@ -326,7 +326,8 @@ class ProviderConnector:
 
         The claim must verify and its content hash must match the
         actual payload bytes; every attached attestation must bind to
-        this exact claim.
+        this exact claim and come from an assurer other than the claim's
+        provider.
         """
         asset_id = asset_id or claim.dataset_id
         if not claim.verify(self.keys):
@@ -341,6 +342,11 @@ class ProviderConnector:
             if att.claim_hash != claim_hash:
                 raise InvalidClaim(
                     f"attestation {att.attestation_id} does not reference this claim"
+                )
+            if att.assurer_id == claim.provider_id:
+                raise InvalidClaim(
+                    f"attestation {att.attestation_id} is self-attested: "
+                    f"{att.assurer_id} made the claim it attests"
                 )
         with self._mutate_lock:
             if asset_id in self._assets:

@@ -382,10 +382,12 @@ class ScenarioRunner:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         self.scenario = scenario
         self.mode = mode
-        self.now = int(now) if now is not None else scenario.start_time
+        self.now = start = int(now) if now is not None else scenario.start_time
         self.config = config or DeploymentConfig.defaults()
         self.keys = keys or KeyDirectory()
-        self._clock = lambda: self.now
+        # The actors' clock and the transport factory capture values, not
+        # self: a closure over the runner would hold its world in a cycle.
+        self._clock = lambda: start
         self._resources = ExitStack()  # HTTP servers and transports, closed by run()
 
         self.provider: Optional[ProviderConnector] = None
@@ -449,9 +451,9 @@ class ScenarioRunner:
 
             self._provider_transport_factory = worker_transport
         else:
-            self.provider_transport = LocalProviderTransport(self.provider)
+            self.provider_transport = transport = LocalProviderTransport(self.provider)
             self.assurance_transport = LocalAssuranceTransport(self.assurer)
-            self._provider_transport_factory = lambda: self.provider_transport
+            self._provider_transport_factory = lambda: transport
 
         datasets = {d.dataset_id: d for d in scenario.datasets}
         for entry in scenario.claims:

@@ -145,6 +145,7 @@ class _QuietHandler(BaseHTTPRequestHandler):
     # headers goes out at once instead of waiting for the client's
     # delayed ACK (Nagle, RFC 896, against RFC 1122 4.2.3.2), ~40 ms.
     disable_nagle_algorithm = True
+    server: _ActorHTTPServer  # the actor a handler serves is self.server.actor
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
@@ -206,19 +207,18 @@ class _QuietHandler(BaseHTTPRequestHandler):
 
 
 class _ProviderHandler(_QuietHandler):
-    provider: ProviderConnector  # set on the subclass by the server
-
     def do_GET(self):
+        provider = self.server.actor
         try:
             if self.path == "/catalog":
-                body = self.provider.catalog().public_json().encode("utf-8")
+                body = provider.catalog().public_json().encode("utf-8")
                 self._send_json_body(200, body)
             elif self.path.startswith("/negotiations/"):
                 session_id = self.path.split("/", 2)[2]
-                self._send_json(200, self.provider.get_session(session_id).to_dict())
+                self._send_json(200, provider.get_session(session_id).to_dict())
             elif self.path.startswith("/transfers/"):
                 agreement_id = self.path.split("/", 2)[2]
-                payload, declared = self.provider.transfer(agreement_id)
+                payload, declared = provider.transfer(agreement_id)
                 self._send_bytes(payload, declared)
             else:
                 self._send_json(404, {"error": "not_found", "message": self.path})
@@ -226,10 +226,11 @@ class _ProviderHandler(_QuietHandler):
             self._send_error_json(exc)
 
     def do_POST(self):
+        provider = self.server.actor
         try:
             if self.path == "/negotiations":
                 body = self._read_json()
-                session = self.provider.handle_negotiation_request(
+                session = provider.handle_negotiation_request(
                     body["asset_id"],
                     body["consumer_id"],
                     body["policy_hash"],
@@ -238,7 +239,7 @@ class _ProviderHandler(_QuietHandler):
                 self._send_json(201, session.to_dict())
             elif self.path.startswith("/negotiations/") and self.path.endswith("/finalize"):
                 session_id = self.path.split("/")[2]
-                self._send_json(200, self.provider.finalize(session_id).to_dict())
+                self._send_json(200, provider.finalize(session_id).to_dict())
             else:
                 self._send_json(404, {"error": "not_found", "message": self.path})
         except DataLoaError as exc:
@@ -248,28 +249,28 @@ class _ProviderHandler(_QuietHandler):
 
 
 class _AssuranceHandler(_QuietHandler):
-    service: AssuranceService  # set on the subclass by the server
-
     def do_GET(self):
+        service = self.server.actor
         try:
             if self.path == "/revocations":
-                self._send_json(200, {"revocations": self.service.revocations.to_list()})
+                self._send_json(200, {"revocations": service.revocations.to_list()})
             else:
                 self._send_json(404, {"error": "not_found", "message": self.path})
         except DataLoaError as exc:
             self._send_error_json(exc)
 
     def do_POST(self):
+        service = self.server.actor
         try:
             if self.path == "/audits":
                 body = self._read_json()
-                outcome = self.service.handle_audit(
+                outcome = service.handle_audit(
                     body["claim"], body["manifest"], body["requested_level"]
                 )
                 self._send_json(200 if outcome.passed else 422, outcome.to_dict())
             elif self.path == "/revocations":
                 body = self._read_json()
-                self.service.revoke(body["attestation_id"], body.get("reason", ""))
+                service.revoke(body["attestation_id"], body.get("reason", ""))
                 self._send_empty(204)
             else:
                 self._send_json(404, {"error": "not_found", "message": self.path})
@@ -279,12 +280,62 @@ class _AssuranceHandler(_QuietHandler):
             self._send_bad_request(exc)
 
 
+class _ActorHTTPServer(ThreadingHTTPServer):
+    """A threaded HTTP server holding its actor on the instance.
+
+    Handlers reach the actor as ``self.server.actor``, so no class is
+    built per server and nothing here sits in a reference cycle. Each
+    accepted connection stays in ``_live`` until its handler is done, so
+    that end_connections() can close the ones still open.
+    """
+
+    daemon_threads = True  # a process that never stops a server still exits
+
+    def __init__(self, address: tuple[str, int], handler_cls: type, actor):
+        super().__init__(address, handler_cls)
+        self.actor = actor
+        self._live: set[socket.socket] = set()
+        self._live_changed = threading.Condition()
+        self._ending = False
+
+    def process_request(self, request, client_address):
+        with self._live_changed:
+            self._live.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self._live_changed:
+            self._live.discard(request)
+            self._live_changed.notify_all()
+
+    def handle_error(self, request, client_address):
+        # A handler whose connection end_connections() shut down fails
+        # on its next read or write; that is the intended end, not news.
+        if not self._ending:
+            super().handle_error(request, client_address)
+
+    def end_connections(self, timeout: float) -> None:
+        """Shut every live connection down, then wait up to ``timeout``
+        seconds for their handlers to finish. Call after the accept
+        loop has ended, so that no connection arrives meanwhile."""
+        with self._live_changed:
+            self._ending = True
+            for request in self._live:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+            self._live_changed.wait_for(lambda: not self._live, timeout)
+
+
 class _ActorServer:
     """Threaded HTTP server bound to an ephemeral localhost port."""
 
-    def __init__(self, handler_cls: type, host: str = "127.0.0.1", port: int = 0):
-        self._server = ThreadingHTTPServer((host, port), handler_cls)
-        self._server.daemon_threads = True
+    STOP_TIMEOUT = 2.0  # seconds stop() waits for the handlers it ends
+
+    def __init__(self, handler_cls: type, actor, host: str = "127.0.0.1", port: int = 0):
+        self._server = _ActorHTTPServer((host, port), handler_cls, actor)
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -298,6 +349,8 @@ class _ActorServer:
         return self
 
     def stop(self) -> None:
+        """Stop accepting, end every live connection, wait for their
+        handlers within STOP_TIMEOUT, and let go of the actor."""
         # Shutting down the listening socket wakes serve_forever's select
         # at once; where it does not, shutdown() waits out the poll.
         try:
@@ -309,6 +362,8 @@ class _ActorServer:
         if self._thread:
             self._thread.join(timeout=5)
             self._thread = None
+        self._server.end_connections(self.STOP_TIMEOUT)
+        self._server.actor = None
 
     def __enter__(self) -> "_ActorServer":
         return self.start()
@@ -319,14 +374,12 @@ class _ActorServer:
 
 class ProviderHTTPServer(_ActorServer):
     def __init__(self, provider: ProviderConnector, host: str = "127.0.0.1", port: int = 0):
-        handler = type("BoundProviderHandler", (_ProviderHandler,), {"provider": provider})
-        super().__init__(handler, host, port)
+        super().__init__(_ProviderHandler, provider, host, port)
 
 
 class AssuranceHTTPServer(_ActorServer):
     def __init__(self, service: AssuranceService, host: str = "127.0.0.1", port: int = 0):
-        handler = type("BoundAssuranceHandler", (_AssuranceHandler,), {"service": service})
-        super().__init__(handler, host, port)
+        super().__init__(_AssuranceHandler, service, host, port)
 
 
 # ---------------------------------------------------------------------------

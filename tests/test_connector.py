@@ -878,7 +878,9 @@ def test_self_attested_attestation_is_ignored_and_flagged(provider, consumer, ke
                                                           provider_key, make_claim,
                                                           make_manifest):
     """A provider auditing its own claim with its own key earns nothing:
-    the attestation is ignored, the asset flagged, and HIGH rejects."""
+    the attestation is ignored, the asset flagged, and HIGH rejects.
+    publish refuses such an attestation, so the catalog is served by a
+    stub, as a provider that skipped the check would serve it."""
     from dataloa.assurance import AssuranceService
     from dataloa.model import Attestation
     from dataloa.policy_engine import ConsumerPolicy, Verdict, decide
@@ -894,9 +896,11 @@ def test_self_attested_attestation_is_ignored_and_flagged(provider, consumer, ke
     att = Attestation.from_dict(response.attestation)
     assert att.assurer_id == PROVIDER_ID
     provider.publish(payload=PAYLOAD, description="", policy=default_policy(),
-                     claim=claim, attestations=(att,))
+                     claim=claim)
+    data = provider.catalog().to_dict()
+    data["assets"][0]["attestation_refs"] = [response.attestation]
 
-    vasset = consumer.fetch_catalog(LocalProviderTransport(provider)).assets[0]
+    vasset = consumer.fetch_catalog(_StubTransport(data)).assets[0]
     assert vasset.claim_valid
     assert vasset.valid_attestations == ()
     assert vasset.ignored == ((att.attestation_id, "self-attested"),)
@@ -905,6 +909,23 @@ def test_self_attested_attestation_is_ignored_and_flagged(provider, consumer, ke
     assert decision.verdict is Verdict.REJECT
     assert decision.effective is AssuranceLevel.SELF_ASSERTED
     assert any("self-attested" in reason for reason in decision.reasons)
+
+
+def test_publish_refuses_self_attested_attestation(provider, keys, provider_key,
+                                                   make_claim, make_manifest):
+    """An attestation by the claim's own provider is no independent
+    assurance, so the provider does not list it at all."""
+    from dataloa.assurance import AssuranceService
+    from dataloa.model import Attestation
+
+    claim = make_claim()
+    self_assurer = AssuranceService(provider_key, keys, clock=lambda: NOW)
+    response = self_assurer.handle_audit(claim.to_dict(), make_manifest(claim).to_dict(), 2)
+    att = Attestation.from_dict(response.attestation)
+    with pytest.raises(InvalidClaim, match="self-attested"):
+        provider.publish(payload=PAYLOAD, description="", policy=default_policy(),
+                         claim=claim, attestations=(att,))
+    assert provider.catalog().assets == ()
 
 
 def test_claim_from_another_provider_is_invalid(provider, consumer, keys):
