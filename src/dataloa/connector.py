@@ -14,6 +14,7 @@ FINALIZED session.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
@@ -24,7 +25,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .envelope import KeyDirectory, KeyPair, content_hash, derived_id, hash_of
+from .envelope import KeyDirectory, KeyPair, _VerifiedCache, content_hash, derived_id, hash_of
 from .errors import (
     DuplicateAssetId,
     HashMismatch,
@@ -39,6 +40,14 @@ from .errors import (
 from .model import Agreement, AssuranceLevel, Attestation, TrustClaim, effective_level
 
 PERMITTED_ACTIONS = frozenset({"use", "distribute"})
+
+# Parsed assets each consumer keeps between fetches: twice the largest
+# catalog any caller serves (2000 assets).
+PARSED_ASSETS_SIZE = 4096
+
+# Writes an asset's wire value as the text its memo key digests: stdlib
+# JSON, ASCII, default separators, no NaN or infinity.
+_WIRE_TEXT = json.JSONEncoder(allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -529,12 +538,18 @@ class NegotiationOutcome:
 
 class ConsumerConnector:
     """Consumer-side connector: catalog verification, negotiation, and
-    integrity-checked transfer."""
+    integrity-checked transfer.
+
+    Each instance keeps a bounded memo from the digest of an asset's
+    wire JSON to the ``Asset`` parsed from it, so a repeat fetch of an
+    unchanged asset skips the parse but still re-checks every signature.
+    """
 
     def __init__(self, consumer_id: str, keys: KeyDirectory, clock=None):
         self.consumer_id = consumer_id
         self.keys = keys
         self._clock = clock or (lambda: int(time.time()))
+        self._parsed = _VerifiedCache(PARSED_ASSETS_SIZE)
 
     def now(self) -> int:
         return int(self._clock())
@@ -546,7 +561,7 @@ class ConsumerConnector:
         try:
             provider_id = raw["provider_id"]
             issued_at = raw["issued_at"]
-            assets = [Asset.from_dict(a) for a in raw["assets"]]
+            assets = [self._parse_asset(a) for a in raw["assets"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedCatalog(f"catalog response not parseable: {exc}") from exc
         try:
@@ -554,6 +569,28 @@ class ConsumerConnector:
         except UnicodeEncodeError as exc:  # a lone surrogate in a signed string
             raise MalformedCatalog(f"catalog record not encodable as UTF-8: {exc}") from exc
         return VerifiedCatalog(provider_id=provider_id, issued_at=issued_at, assets=verified)
+
+    def _parse_asset(self, data) -> Asset:
+        """``Asset.from_dict(data)``, parsed once per distinct wire text.
+
+        The key digests the value's stdlib JSON text, which fixes the
+        value a JSON transport decodes and its types. The values that
+        encoder writes alike come only from in-process callers: a tuple
+        and a list, an IntEnum and its int, which ``from_dict`` treats
+        alike in every field it type-checks, and a non-string key and
+        its text, which it rejects. A value the encoder refuses skips
+        the memo. Nothing remembered depends on keys, time or
+        revocations: ``_verify_asset`` checks every signature again.
+        """
+        try:
+            key = hashlib.sha256(_WIRE_TEXT.encode(data).encode()).digest()
+        except (TypeError, ValueError, RecursionError):
+            return Asset.from_dict(data)
+        asset = self._parsed.hit(key)
+        if asset is None:
+            asset = Asset.from_dict(data)
+            self._parsed.add(key, asset)
+        return asset
 
     def _verify_asset(self, asset: Asset, provider_id: str) -> VerifiedAsset:
         problems: list[str] = []

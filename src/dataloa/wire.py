@@ -350,18 +350,21 @@ class _ActorServer:
 
     def stop(self) -> None:
         """Stop accepting, end every live connection, wait for their
-        handlers within STOP_TIMEOUT, and let go of the actor."""
+        handlers within STOP_TIMEOUT, and let go of the actor. A server
+        never started has no accept loop to end; its socket is closed."""
         # Shutting down the listening socket wakes serve_forever's select
         # at once; where it does not, shutdown() waits out the poll.
         try:
             self._server.socket.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        self._server.shutdown()
-        self._server.server_close()
         if self._thread:
+            # shutdown() waits for serve_forever to end, so only a
+            # started server may call it.
+            self._server.shutdown()
             self._thread.join(timeout=5)
             self._thread = None
+        self._server.server_close()
         self._server.end_connections(self.STOP_TIMEOUT)
         self._server.actor = None
 

@@ -1,0 +1,275 @@
+"""The consumer's parsed-asset memo: a repeat fetch of an unchanged asset
+reuses the record parsed from the same wire JSON, and still checks every
+signature under the consumer's current keys."""
+
+from __future__ import annotations
+
+import copy
+import sys
+import threading
+
+import pytest
+
+from dataloa import connector
+from dataloa.connector import (
+    Asset,
+    ConsumerConnector,
+    Permission,
+    Policy,
+    default_policy,
+)
+from dataloa.envelope import KeyDirectory, SignatureEnvelope, generate_keypair
+from dataloa.errors import DataLoaError, MalformedCatalog
+from dataloa.model import Attestation, TrustClaim
+from dataloa.wire import HttpProviderTransport, LocalProviderTransport, ProviderHTTPServer
+
+from conftest import ASSURER_ID, CONSUMER_ID, NOW, PAYLOAD, PROVIDER_ID
+
+
+class _StubTransport:
+    """Catalog-only transport serving a fixed dict."""
+
+    def __init__(self, catalog_data):
+        self.catalog_data = catalog_data
+
+    def get_catalog(self):
+        return self.catalog_data
+
+
+def _fresh(keys) -> ConsumerConnector:
+    return ConsumerConnector(consumer_id=CONSUMER_ID, keys=keys, clock=lambda: NOW)
+
+
+def _outcome(consumer, transport):
+    """The catalog a fetch returns, or the type of the error it raises."""
+    try:
+        return consumer.fetch_catalog(transport)
+    except DataLoaError as exc:
+        return type(exc)
+
+
+@pytest.fixture
+def attested_provider(provider, assurance, make_claim, make_manifest):
+    claim = make_claim()
+    response = assurance.handle_audit(claim.to_dict(), make_manifest(claim).to_dict(), 2)
+    assert response.passed
+    provider.publish(payload=PAYLOAD, description="well data", policy=default_policy(),
+                     claim=claim, attestations=(Attestation.from_dict(response.attestation),))
+    return provider
+
+
+def _claim(asset):
+    return asset["claim"]
+
+
+def _att(asset):
+    return asset["attestation_refs"][0]
+
+
+def _set(path, field, value):
+    def mutate(asset):
+        path(asset)[field] = value
+    return mutate
+
+
+def _flip_char(path, field):
+    def mutate(asset):
+        text = path(asset)[field]
+        path(asset)[field] = ("0" if text[0] != "0" else "1") + text[1:]
+    return mutate
+
+
+def _as_tuples(asset):
+    asset["attestation_refs"] = tuple(asset["attestation_refs"])
+    asset["usage_policy"]["permissions"] = tuple(asset["usage_policy"]["permissions"])
+
+
+def _bump(path, field, by):
+    def mutate(asset):
+        path(asset)[field] += by
+    return mutate
+
+
+# Each mutates the one asset of a pristine catalog. Several write the
+# same JSON text as another in-process value, or as the pristine asset.
+MUTATIONS = {
+    "pristine": lambda asset: None,
+    "issued_at-1": _set(_claim, "issued_at", 1),
+    "issued_at-true": _set(_claim, "issued_at", True),
+    "issued_at-1.0": _set(_claim, "issued_at", 1.0),
+    "issued_at-nan": _set(_claim, "issued_at", float("nan")),
+    "issued_at-bumped": _bump(_claim, "issued_at", 1),
+    "claim-extra-key": _set(_claim, "note", "unsigned"),
+    "asset-extra-key": _set(lambda asset: asset, "extra", [1, 2]),
+    "tuples-for-lists": _as_tuples,
+    "level-as-plain-int": _set(_claim, "level_claimed", 2),
+    "dimensions-int-key": _set(_claim, "dimensions", {1: "lab-validated"}),
+    "dimensions-str-key": _set(_claim, "dimensions", {"1": "lab-validated"}),
+    "claim-id-lone-surrogate": _set(_claim, "claim_id", "\ud800"),
+    "attestation-id-lone-surrogate": _set(_att, "attestation_id", "\udfff"),
+    "description-set": _set(lambda asset: asset, "description", {"not", "json"}),
+    "content-hash-flipped": _flip_char(_claim, "content_hash"),
+    "level-assured-flipped": _set(_att, "level_assured", 3),
+    "claim-hash-flipped": _flip_char(_att, "claim_hash"),
+    "valid-until-bumped": _bump(_att, "valid_until", 7),
+    "assurer-is-provider": _set(_att, "assurer_id", PROVIDER_ID),
+    "signature-flipped": _flip_char(lambda asset: _claim(asset)["signature"], "sig"),
+}
+
+
+def _catalogs(provider) -> dict[str, dict]:
+    pristine = provider.catalog().to_dict()
+    catalogs = {}
+    for name, mutate in MUTATIONS.items():
+        data = copy.deepcopy(pristine)
+        mutate(data["assets"][0])
+        catalogs[name] = data
+    return catalogs
+
+
+def test_warm_fetch_equals_cold_fetch(attested_provider, keys):
+    """A consumer that has fetched every catalog of the tamper set returns,
+    for each, what a fresh consumer returns, or raises the same error."""
+    catalogs = _catalogs(attested_provider)
+    warm = _fresh(keys)
+    for data in catalogs.values():
+        _outcome(warm, _StubTransport(data))
+    for name, data in catalogs.items():
+        for _ in range(2):
+            assert _outcome(warm, _StubTransport(data)) == _outcome(
+                _fresh(keys), _StubTransport(data)
+            ), name
+    # the tamper set reaches every verdict, so the equalities above say something
+    outcomes = {name: _outcome(_fresh(keys), _StubTransport(data))
+                for name, data in catalogs.items()}
+    assert not outcomes["pristine"].assets[0].flagged
+    assert outcomes["issued_at-1"].assets[0].claim_valid is False
+    assert outcomes["tuples-for-lists"] == outcomes["pristine"]
+    assert outcomes["level-as-plain-int"] == outcomes["pristine"]
+    assert outcomes["claim-extra-key"] == outcomes["pristine"]
+    assert outcomes["level-assured-flipped"].assets[0].ignored
+    for name in ("issued_at-true", "issued_at-1.0", "issued_at-nan",
+                 "dimensions-int-key", "dimensions-str-key",
+                 "claim-id-lone-surrogate", "attestation-id-lone-surrogate"):
+        assert outcomes[name] is MalformedCatalog, name
+
+
+def test_value_too_deep_to_encode_skips_the_memo(attested_provider, consumer):
+    data = attested_provider.catalog().to_dict()
+    deep = []
+    for _ in range(100_000):
+        deep = [deep]
+    data["assets"][0]["description"] = deep
+    for _ in range(2):
+        assert consumer.fetch_catalog(_StubTransport(data)).assets[0].asset.description is deep
+
+
+def _count_parses(monkeypatch) -> list[str]:
+    calls: list[str] = []
+    for cls in (Asset, Policy, Permission, TrustClaim, Attestation, SignatureEnvelope):
+        real = cls.from_dict
+
+        def counting(owner, data, real=real):
+            calls.append(owner.__name__)
+            return real(data)
+
+        monkeypatch.setattr(cls, "from_dict", classmethod(counting))
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["local", "http"])
+def test_repeat_fetch_of_unchanged_catalog_parses_nothing(monkeypatch, attested_provider,
+                                                          consumer, mode):
+    calls = _count_parses(monkeypatch)
+    with ProviderHTTPServer(attested_provider) as server, \
+            HttpProviderTransport(server.base_url) as http:
+        transport = http if mode == "http" else LocalProviderTransport(attested_provider)
+        first = consumer.fetch_catalog(transport)
+        assert "Asset" in calls and "TrustClaim" in calls and "Attestation" in calls
+        calls.clear()
+        second = consumer.fetch_catalog(transport)
+    assert calls == []
+    assert second == first
+    assert not second.assets[0].flagged
+
+
+def test_key_changes_count_on_a_warm_fetch(attested_provider, keys):
+    """Adding, removing or replacing a signer's key moves claim_valid and
+    the valid attestations as it would for a fresh consumer."""
+    transport = LocalProviderTransport(attested_provider)
+    public = {actor: keys.signer_for(actor).public_only() for actor in (PROVIDER_ID, ASSURER_ID)}
+    directories = [
+        KeyDirectory({ASSURER_ID: public[ASSURER_ID]}),
+        KeyDirectory(public),
+        KeyDirectory({PROVIDER_ID: public[PROVIDER_ID]}),
+        KeyDirectory({**public, PROVIDER_ID: generate_keypair(PROVIDER_ID).public_only()}),
+        KeyDirectory(public),
+    ]
+    warm = _fresh(directories[0])
+    seen = []
+    for directory in directories:
+        warm.keys = directory
+        catalog = warm.fetch_catalog(transport)
+        assert catalog == _fresh(directory).fetch_catalog(transport)
+        vasset = catalog.assets[0]
+        seen.append((vasset.claim_valid, len(vasset.valid_attestations)))
+    assert seen == [(False, 1), (True, 1), (True, 0), (False, 1), (True, 1)]
+
+    # the same, adding the key to the directory the consumer already holds
+    directory = KeyDirectory({ASSURER_ID: public[ASSURER_ID]})
+    warm = _fresh(directory)
+    assert not warm.fetch_catalog(transport).assets[0].claim_valid
+    directory.add(public[PROVIDER_ID])
+    assert warm.fetch_catalog(transport).assets[0].claim_valid
+
+
+def test_memo_holds_at_most_its_bound(monkeypatch, provider, keys, make_claim):
+    monkeypatch.setattr(connector, "PARSED_ASSETS_SIZE", 3)
+    consumer = _fresh(keys)
+    transport = LocalProviderTransport(provider)
+    for index in range(6):
+        claim = make_claim(dataset_id=f"wells-{index}")
+        provider.publish(payload=PAYLOAD, description=f"set {index}",
+                         policy=default_policy(), claim=claim)
+        for _ in range(2):
+            catalog = consumer.fetch_catalog(transport)
+            assert len(consumer._parsed) <= 3
+            assert catalog == _fresh(keys).fetch_catalog(transport)
+            assert len(catalog.assets) == index + 1
+            assert not any(vasset.flagged for vasset in catalog.assets)
+
+
+def test_threads_sharing_a_consumer_get_equal_catalogs(monkeypatch, provider, keys,
+                                                       make_claim):
+    """Three threads fetch through one consumer whose memo is too small
+    for the catalog, with thread switches forced often, and all get the
+    catalog a fresh consumer gets."""
+    monkeypatch.setattr(connector, "PARSED_ASSETS_SIZE", 2)
+    for index in range(3):
+        provider.publish(payload=PAYLOAD, description="", policy=default_policy(),
+                         claim=make_claim(dataset_id=f"wells-{index}"))
+    transport = LocalProviderTransport(provider)
+    expected = _fresh(keys).fetch_catalog(transport)
+    consumer = _fresh(keys)
+    start = threading.Barrier(3)
+    results: list = []
+
+    def fetch() -> None:
+        start.wait(timeout=5)
+        for _ in range(5):
+            results.append(consumer.fetch_catalog(transport))
+
+    threads = [threading.Thread(target=fetch) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 15
+    assert all(catalog == expected for catalog in results)
+    assert len(consumer._parsed) <= 2

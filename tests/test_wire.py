@@ -366,6 +366,18 @@ def test_server_stop_returns_at_once(published):
         assert time.perf_counter() - started < 0.1
 
 
+def test_stop_of_a_server_never_started_returns_and_closes(published, assurance):
+    """stop() without start() neither waits for an accept loop that
+    never ran nor leaves the listening socket open."""
+    provider, _, _ = published
+    for server in (ProviderHTTPServer(provider), AssuranceHTTPServer(assurance)):
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=2)
+        assert not stopper.is_alive()
+        assert server._server.socket.fileno() == -1
+
+
 def test_small_responses_skip_the_delayed_ack(provider_http):
     """A response body sent after its headers goes out without waiting
     for the client's delayed ACK (about 40 ms per round trip)."""
