@@ -37,17 +37,13 @@ from .errors import (
     NotFinalized,
     UnknownSession,
 )
-from .model import Agreement, AssuranceLevel, Attestation, TrustClaim, effective_level
+from .model import Agreement, AssuranceLevel, Attestation, TrustClaim, _check_str, effective_level
 
 PERMITTED_ACTIONS = frozenset({"use", "distribute"})
 
 # Parsed assets each consumer keeps between fetches: twice the largest
 # catalog any caller serves (2000 assets).
 PARSED_ASSETS_SIZE = 4096
-
-# Writes an asset's wire value as the text its memo key digests: stdlib
-# JSON, ASCII, default separators, no NaN or infinity.
-_WIRE_TEXT = json.JSONEncoder(allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -58,6 +54,7 @@ class Permission:
     def __post_init__(self):
         if self.action not in PERMITTED_ACTIONS:
             raise ValueError(f"unknown policy action {self.action!r}")
+        _check_str(self, "constraint", optional=True)
 
     def to_dict(self) -> dict:
         return {"action": self.action, "constraint": self.constraint}
@@ -75,6 +72,7 @@ class Policy:
     permissions: tuple[Permission, ...]
 
     def __post_init__(self):
+        _check_str(self, "policy_id")
         object.__setattr__(self, "permissions", tuple(self.permissions))
         if not self.permissions:
             raise ValueError("policy requires at least one permission")
@@ -117,6 +115,8 @@ class Asset:
     payload_locator: Optional[str] = None
 
     def __post_init__(self):
+        _check_str(self, "asset_id", "description")
+        _check_str(self, "payload_locator", optional=True)
         object.__setattr__(self, "attestation_refs", tuple(self.attestation_refs))
         if not self.asset_id:
             raise ValueError("asset_id must be non-empty")
@@ -166,14 +166,13 @@ class Catalog:
             "issued_at": self.issued_at,
         }
 
-    def public_json(self) -> str:
-        """``json.dumps(self.to_dict(public=True))``, joined from each
-        asset's cached encoding."""
-        assets = ", ".join(a.public_json for a in self.assets)
-        return (
-            f'{{"provider_id": {json.dumps(self.provider_id)}, '
-            f'"assets": [{assets}], "issued_at": {json.dumps(self.issued_at)}}}'
-        )
+    def public_lines(self) -> bytes:
+        """The public catalog as JSON Lines, the body ``GET /catalog``
+        sends: a header object ``{"provider_id", "issued_at"}``, then each
+        asset's cached ``public_json``, one per line, every line ending
+        in ``\n``. ``ConsumerConnector.fetch_catalog`` reads it."""
+        header = json.dumps({"provider_id": self.provider_id, "issued_at": self.issued_at})
+        return "\n".join([header, *(a.public_json for a in self.assets), ""]).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +540,7 @@ class ConsumerConnector:
     integrity-checked transfer.
 
     Each instance keeps a bounded memo from the digest of an asset's
-    wire JSON to the ``Asset`` parsed from it, so a repeat fetch of an
+    catalog line to the ``Asset`` parsed from it, so a repeat fetch of an
     unchanged asset skips the parse but still re-checks every signature.
     """
 
@@ -556,13 +555,20 @@ class ConsumerConnector:
 
     def fetch_catalog(self, transport) -> VerifiedCatalog:
         """Pull a provider's catalog and re-verify every claim and
-        attestation signature; nothing from the wire is trusted as-is."""
-        raw = transport.get_catalog()
+        attestation signature; nothing from the wire is trusted as-is.
+
+        The body is ``Catalog.public_lines``: a header object, then one
+        asset per line. Each line must be one UTF-8 JSON value; the
+        final line may end in ``\n``, and a blank line is malformed.
+        """
+        header, *lines = transport.get_catalog().removesuffix(b"\n").split(b"\n")
         try:
-            provider_id = raw["provider_id"]
-            issued_at = raw["issued_at"]
-            assets = [self._parse_asset(a) for a in raw["assets"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            head = json.loads(header.decode("utf-8"))
+            provider_id, issued_at = head["provider_id"], head["issued_at"]
+            if not isinstance(provider_id, str) or type(issued_at) is not int:
+                raise MalformedCatalog("catalog header needs a str provider_id, int issued_at")
+            assets = [self._parse_asset(line) for line in lines]
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise MalformedCatalog(f"catalog response not parseable: {exc}") from exc
         try:
             verified = tuple(self._verify_asset(asset, provider_id) for asset in assets)
@@ -570,25 +576,17 @@ class ConsumerConnector:
             raise MalformedCatalog(f"catalog record not encodable as UTF-8: {exc}") from exc
         return VerifiedCatalog(provider_id=provider_id, issued_at=issued_at, assets=verified)
 
-    def _parse_asset(self, data) -> Asset:
-        """``Asset.from_dict(data)``, parsed once per distinct wire text.
-
-        The key digests the value's stdlib JSON text, which fixes the
-        value a JSON transport decodes and its types. The values that
-        encoder writes alike come only from in-process callers: a tuple
-        and a list, an IntEnum and its int, which ``from_dict`` treats
-        alike in every field it type-checks, and a non-string key and
-        its text, which it rejects. A value the encoder refuses skips
-        the memo. Nothing remembered depends on keys, time or
-        revocations: ``_verify_asset`` checks every signature again.
-        """
-        try:
-            key = hashlib.sha256(_WIRE_TEXT.encode(data).encode()).digest()
-        except (TypeError, ValueError, RecursionError):
-            return Asset.from_dict(data)
+    def _parse_asset(self, line: bytes) -> Asset:
+        """The ``Asset`` one catalog line holds, parsed once per distinct
+        line: the same bytes always decode to the same record, so the
+        memo keys on their SHA-256 digest. An asset is remembered only
+        once ``from_dict`` has accepted it. Nothing remembered depends on
+        keys, time or revocations: ``_verify_asset`` checks every
+        signature again."""
+        key = hashlib.sha256(line).digest()
         asset = self._parsed.hit(key)
         if asset is None:
-            asset = Asset.from_dict(data)
+            asset = Asset.from_dict(json.loads(line.decode("utf-8")))
             self._parsed.add(key, asset)
         return asset
 

@@ -185,6 +185,8 @@ class SignatureEnvelope:
     def __post_init__(self):
         if not (isinstance(self.alg, str) and self.alg):
             raise ValueError("signature envelope requires a non-empty string alg")
+        if not isinstance(self.key_id, str):
+            raise ValueError("signature envelope requires a string key_id")
 
     def to_dict(self) -> dict:
         return {"alg": self.alg, "key_id": self.key_id, "sig": self.sig}

@@ -89,9 +89,11 @@ def validate_dimensions(dimensions: Mapping[str, str]) -> dict[str, str]:
     return dimensions
 
 
-def _check_str(record, *labels: str) -> None:
+def _check_str(record, *labels: str, optional: bool = False) -> None:
+    """Each field a string, or also None where ``optional``."""
     for label in labels:
-        if not isinstance(getattr(record, label), str):
+        value = getattr(record, label)
+        if not (isinstance(value, str) or optional and value is None):
             raise ValueError(f"{label} must be a string")
 
 

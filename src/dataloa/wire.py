@@ -3,8 +3,9 @@
 Two interchangeable implementations of the same contract:
 
 * local: direct in-process calls against a ProviderConnector or
-  AssuranceService, still exchanging plain dicts so the consumer code
-  path is byte-for-byte the same as over HTTP;
+  AssuranceService, still exchanging plain dicts, and the catalog's
+  body bytes, so the consumer code path is byte-for-byte the same as
+  over HTTP;
 * http: a stdlib threaded HTTP server per actor plus a stdlib client
   holding one keep-alive connection per transport, with domain errors
   mapped to status codes on the way out and reconstructed from the
@@ -45,6 +46,7 @@ from .errors import (
 )
 
 CONTENT_HASH_HEADER = "X-Content-Hash"
+CATALOG_CONTENT_TYPE = "application/jsonl"  # JSON Lines, one asset per line
 
 STATUS_FOR_ERROR: dict[type, int] = {
     UnknownSession: 404,
@@ -59,7 +61,7 @@ STATUS_FOR_ERROR: dict[type, int] = {
 
 
 class ProviderTransport(Protocol):
-    def get_catalog(self) -> dict: ...
+    def get_catalog(self) -> bytes: ...
 
     def request_negotiation(
         self, asset_id: str, consumer_id: str, policy_hash: str, claim_hash: str
@@ -88,13 +90,14 @@ class AssuranceTransport(Protocol):
 
 
 class LocalProviderTransport:
-    """Direct calls into a provider connector, dict-shaped like HTTP."""
+    """Direct calls into a provider connector, shaped like HTTP: dicts,
+    and the catalog as the body bytes the server sends."""
 
     def __init__(self, provider: ProviderConnector):
         self.provider = provider
 
-    def get_catalog(self) -> dict:
-        return self.provider.catalog().to_dict(public=True)
+    def get_catalog(self) -> bytes:
+        return self.provider.catalog().public_lines()
 
     def request_negotiation(
         self, asset_id: str, consumer_id: str, policy_hash: str, claim_hash: str
@@ -164,18 +167,20 @@ class _QuietHandler(BaseHTTPRequestHandler):
         body = self.rfile.read(length) if length else b"{}"
         try:
             data = json.loads(body.decode("utf-8"))
-        except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        # UnicodeDecodeError, JSONDecodeError, or nesting too deep to decode
+        except (ValueError, RecursionError) as exc:
             raise _BadRequest(f"body is not UTF-8 JSON: {exc}") from None
         if not isinstance(data, dict):
             raise _BadRequest(f"body must be a JSON object, not {type(data).__name__}")
         return data
 
     def _send_json(self, status: int, payload) -> None:
-        self._send_json_body(status, json.dumps(payload).encode("utf-8"))
+        self._send_body(status, json.dumps(payload).encode("utf-8"))
 
-    def _send_json_body(self, status: int, body: bytes, close: bool = False) -> None:
+    def _send_body(self, status: int, body: bytes, close: bool = False,
+                   content_type: str = "application/json") -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if close:
             self.send_header("Connection", "close")  # also sets close_connection
@@ -203,7 +208,7 @@ class _QuietHandler(BaseHTTPRequestHandler):
         # A rejected body may be partly unread, so the stream cannot
         # carry another request.
         body = json.dumps({"error": "bad_request", "message": str(exc)})
-        self._send_json_body(400, body.encode("utf-8"), close=True)
+        self._send_body(400, body.encode("utf-8"), close=True)
 
 
 class _ProviderHandler(_QuietHandler):
@@ -211,8 +216,8 @@ class _ProviderHandler(_QuietHandler):
         provider = self.server.actor
         try:
             if self.path == "/catalog":
-                body = provider.catalog().public_json().encode("utf-8")
-                self._send_json_body(200, body)
+                body = provider.catalog().public_lines()
+                self._send_body(200, body, content_type=CATALOG_CONTENT_TYPE)
             elif self.path.startswith("/negotiations/"):
                 session_id = self.path.split("/", 2)[2]
                 self._send_json(200, provider.get_session(session_id).to_dict())
@@ -478,7 +483,7 @@ class _HttpClient:
         try:
             body = response.json()
             error = error_for_wire_code(body["error"], body.get("message", ""))
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, RecursionError):
             raise DataLoaError(
                 f"HTTP {response.status_code} from {response.url}"
             ) from None
@@ -487,17 +492,17 @@ class _HttpClient:
     def _json_of(self, response: _Response):
         try:
             return response.json()
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedCatalog(f"non-JSON response from {response.url}") from exc
 
 
 class HttpProviderTransport(_HttpClient):
     """Client for a provider's HTTP endpoints."""
 
-    def get_catalog(self) -> dict:
+    def get_catalog(self) -> bytes:
         response = self._request("GET", "/catalog")
         self._raise_for_error(response)
-        return self._json_of(response)
+        return response.content
 
     def request_negotiation(
         self, asset_id: str, consumer_id: str, policy_hash: str, claim_hash: str

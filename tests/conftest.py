@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -22,6 +23,15 @@ CONSUMER_ID = make_actor_id("metro-water")
 ASSURER_ID = make_actor_id("trustline-audit")
 
 PAYLOAD = b"well_id,quarter,nitrate_mg_l\nW-001,2026Q1,7\nW-002,2026Q1,12\n"
+
+
+def catalog_lines(data: dict) -> bytes:
+    """A catalog dict as the JSON Lines body ``GET /catalog`` sends: a
+    header line with whichever of provider_id and issued_at it has, then
+    ``json.dumps`` of each asset, one per line."""
+    header = {key: data[key] for key in ("provider_id", "issued_at") if key in data}
+    lines = [json.dumps(header), *(json.dumps(asset) for asset in data["assets"])]
+    return "\n".join(lines).encode()
 
 
 def spy_replace(monkeypatch, fail_after=None):

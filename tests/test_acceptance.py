@@ -43,7 +43,7 @@ from dataloa.policy_engine import ConsumerPolicy, Verdict, decide
 from dataloa.scenario import bundled_scenarios, run_scenario
 from dataloa.wire import LocalProviderTransport
 
-from conftest import ASSURER_ID, CONSUMER_ID, NOW, PAYLOAD, PROVIDER_ID
+from conftest import ASSURER_ID, CONSUMER_ID, NOW, PAYLOAD, PROVIDER_ID, catalog_lines
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -380,7 +380,7 @@ class _StubCatalog:
         self.data = data
 
     def get_catalog(self):
-        return self.data
+        return catalog_lines(self.data)
 
 
 class _AgreementTamperer:

@@ -1,12 +1,13 @@
 """The consumer's parsed-asset memo: a repeat fetch of an unchanged asset
-reuses the record parsed from the same wire JSON, and still checks every
-signature under the consumer's current keys."""
+reuses the record parsed from the same catalog line, and still checks
+every signature under the consumer's current keys."""
 
 from __future__ import annotations
 
 import copy
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,17 +24,17 @@ from dataloa.errors import DataLoaError, MalformedCatalog
 from dataloa.model import Attestation, TrustClaim
 from dataloa.wire import HttpProviderTransport, LocalProviderTransport, ProviderHTTPServer
 
-from conftest import ASSURER_ID, CONSUMER_ID, NOW, PAYLOAD, PROVIDER_ID
+from conftest import ASSURER_ID, CONSUMER_ID, NOW, PAYLOAD, PROVIDER_ID, catalog_lines
 
 
 class _StubTransport:
-    """Catalog-only transport serving a fixed dict."""
+    """Catalog-only transport serving a fixed dict as JSON Lines."""
 
     def __init__(self, catalog_data):
         self.catalog_data = catalog_data
 
     def get_catalog(self):
-        return self.catalog_data
+        return catalog_lines(self.catalog_data)
 
 
 def _fresh(keys) -> ConsumerConnector:
@@ -107,7 +108,6 @@ MUTATIONS = {
     "dimensions-str-key": _set(_claim, "dimensions", {"1": "lab-validated"}),
     "claim-id-lone-surrogate": _set(_claim, "claim_id", "\ud800"),
     "attestation-id-lone-surrogate": _set(_att, "attestation_id", "\udfff"),
-    "description-set": _set(lambda asset: asset, "description", {"not", "json"}),
     "content-hash-flipped": _flip_char(_claim, "content_hash"),
     "level-assured-flipped": _set(_att, "level_assured", 3),
     "claim-hash-flipped": _flip_char(_att, "claim_hash"),
@@ -154,14 +154,15 @@ def test_warm_fetch_equals_cold_fetch(attested_provider, keys):
         assert outcomes[name] is MalformedCatalog, name
 
 
-def test_value_too_deep_to_encode_skips_the_memo(attested_provider, consumer):
-    data = attested_provider.catalog().to_dict()
-    deep = []
-    for _ in range(100_000):
-        deep = [deep]
-    data["assets"][0]["description"] = deep
+def test_line_nested_too_deep_is_malformed(attested_provider, consumer):
+    header, asset, _ = attested_provider.catalog().public_lines().split(b"\n")
+    deep = b"[" * 100_000 + b"]" * 100_000
+    line = asset.replace(b'"well data"', deep)
+    assert line != asset
+    transport = SimpleNamespace(get_catalog=lambda: header + b"\n" + line)
     for _ in range(2):
-        assert consumer.fetch_catalog(_StubTransport(data)).assets[0].asset.description is deep
+        with pytest.raises(MalformedCatalog):
+            consumer.fetch_catalog(transport)
 
 
 def _count_parses(monkeypatch) -> list[str]:

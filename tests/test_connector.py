@@ -11,6 +11,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -46,7 +47,7 @@ from dataloa.errors import (
 from dataloa.model import AssuranceLevel, TrustClaim, make_actor_id
 from dataloa.wire import LocalProviderTransport
 
-from conftest import CONSUMER_ID, NOW, PAYLOAD, PROVIDER_ID, spy_replace
+from conftest import CONSUMER_ID, NOW, PAYLOAD, PROVIDER_ID, catalog_lines, spy_replace
 
 
 # -- policies ---------------------------------------------------------------
@@ -133,18 +134,29 @@ def _attested(assurance, make_claim, make_manifest, level=2):
     return claim, Attestation.from_dict(response.attestation)
 
 
-def test_catalog_public_json_is_json_dumps_of_public_dict(provider, assurance,
-                                                         make_claim, make_manifest):
-    """The HTTP catalog body, joined from cached per-asset encodings,
-    is byte-for-byte what encoding the public dict would give."""
-    assert provider.catalog().public_json() == json.dumps(provider.catalog().to_dict())
+def test_catalog_public_lines_give_back_the_public_dict(provider, assurance,
+                                                       make_claim, make_manifest):
+    """The HTTP catalog body: a header line, then each asset's cached
+    encoding on a line of its own, every line ending in a newline.
+    Parsing the lines gives back the public dict."""
+
+    def parsed(body: bytes) -> dict:
+        header, *assets = body.split(b"\n")[:-1]
+        return {**json.loads(header), "assets": [json.loads(line) for line in assets]}
+
+    empty = provider.catalog()
+    assert empty.public_lines() == json.dumps(
+        {"provider_id": PROVIDER_ID, "issued_at": NOW}).encode() + b"\n"
+    assert parsed(empty.public_lines()) == empty.to_dict(public=True)
     claim, att = _attested(assurance, make_claim, make_manifest)
-    provider.publish(payload=PAYLOAD, description="wells \u00e9\"", claim=claim,
+    provider.publish(payload=PAYLOAD, description="wells \u00e9\"\n", claim=claim,
                      policy=default_policy(), attestations=(att,))
     provider.publish(payload=PAYLOAD, description="", claim=claim,
                      policy=default_policy(), asset_id="wells-copy")
     catalog = provider.catalog()
-    assert catalog.public_json() == json.dumps(catalog.to_dict(public=True))
+    body = catalog.public_lines()
+    assert body.split(b"\n")[1:] == [a.public_json.encode() for a in catalog.assets] + [b""]
+    assert parsed(body) == catalog.to_dict(public=True)
 
 
 def test_publish_accepts_bound_attestation(provider, assurance, make_claim,
@@ -386,13 +398,13 @@ def test_transfer_unknown_agreement(provider):
 
 
 class _StubTransport:
-    """Catalog-only transport serving a fixed dict."""
+    """Catalog-only transport serving a fixed dict as JSON Lines."""
 
     def __init__(self, catalog_data):
         self.catalog_data = catalog_data
 
     def get_catalog(self):
-        return self.catalog_data
+        return catalog_lines(self.catalog_data)
 
 
 def test_consumer_verifies_clean_catalog(published, consumer):
@@ -479,6 +491,78 @@ def test_fetch_canonicalizes_each_claim_once(monkeypatch, provider, consumer, as
 def test_consumer_rejects_malformed_catalog(consumer):
     with pytest.raises(MalformedCatalog):
         consumer.fetch_catalog(_StubTransport({"assets": "not-a-list"}))
+
+
+def _body_transport(body: bytes):
+    """Catalog-only transport serving fixed body bytes."""
+    return SimpleNamespace(get_catalog=lambda: body)
+
+
+def _lines(published) -> tuple[bytes, bytes]:
+    """The header line and the one asset line of the published catalog."""
+    provider, _, _ = published
+    header, asset, end = provider.catalog().public_lines().split(b"\n")
+    assert end == b""
+    return header, asset
+
+
+MALFORMED_LINES = {
+    "empty-body": lambda header, asset: b"",
+    "no-header": lambda header, asset: asset,
+    "header-a-list": lambda header, asset: b"[" + header + b"]\n" + asset,
+    "header-a-string": lambda header, asset: json.dumps(header.decode()).encode() + b"\n" + asset,
+    "header-not-utf8": lambda header, asset: header.replace(b'"', b'"\xff', 1) + b"\n" + asset,
+    "header-provider-id-a-list": lambda header, asset: (
+        json.dumps({"provider_id": [PROVIDER_ID], "issued_at": NOW}).encode() + b"\n" + asset),
+    "header-issued-at-a-string": lambda header, asset: (
+        json.dumps({"provider_id": PROVIDER_ID, "issued_at": str(NOW)}).encode() + b"\n" + asset),
+    "blank-line": lambda header, asset: header + b"\n\n" + asset,
+    "blank-last-line": lambda header, asset: header + b"\n" + asset + b"\n\n",
+    "asset-pretty-printed": lambda header, asset: (
+        header + b"\n" + json.dumps(json.loads(asset), indent=2).encode()),
+    "asset-not-utf8": lambda header, asset: (
+        header + b"\n" + asset.replace(b"well data", b"well \xff data")),
+    "asset-utf16": lambda header, asset: header + b"\n" + asset.decode().encode("utf-16"),
+    "asset-not-an-object": lambda header, asset: header + b"\n[" + asset + b"]",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LINES))
+def test_consumer_rejects_malformed_catalog_lines(published, consumer, case):
+    body = MALFORMED_LINES[case](*_lines(published))
+    for _ in range(2):  # a line that failed to parse is not remembered
+        with pytest.raises(MalformedCatalog):
+            consumer.fetch_catalog(_body_transport(body))
+
+
+def test_header_only_catalog_has_no_assets(published, consumer):
+    """With or without the newline that ends the last line."""
+    header, _ = _lines(published)
+    for body in (header, header + b"\n"):
+        catalog = consumer.fetch_catalog(_body_transport(body))
+        assert (catalog.provider_id, catalog.issued_at, catalog.assets) == (PROVIDER_ID, NOW, ())
+
+
+@pytest.mark.parametrize("path,field", [
+    ((), "asset_id"),
+    ((), "description"),
+    ((), "payload_locator"),
+    (("usage_policy",), "policy_id"),
+    (("usage_policy", "permissions", 0), "constraint"),
+    (("claim", "signature"), "key_id"),
+    (("claim", "signature"), "alg"),
+])
+def test_consumer_rejects_wrong_typed_unsigned_fields(published, consumer, path, field):
+    """Fields no signature covers are type-checked too: a list asset_id
+    would otherwise pass as a valid claim and break every lookup."""
+    provider, _, _ = published
+    data = provider.catalog().to_dict()
+    target = data["assets"][0]
+    for key in path:
+        target = target[key]
+    target[field] = ["x"]
+    with pytest.raises(MalformedCatalog):
+        consumer.fetch_catalog(_StubTransport(data))
 
 
 @pytest.mark.parametrize("record,field,value", [

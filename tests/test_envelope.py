@@ -30,7 +30,7 @@ from dataloa.envelope import (
 from dataloa.errors import NonCanonicalizable, SigningFailure, UnknownAlgorithm
 from dataloa.model import Attestation, create_claim
 
-from conftest import NOW, PAYLOAD, PROVIDER_ID
+from conftest import NOW, PAYLOAD, PROVIDER_ID, catalog_lines
 
 SAMPLE = bytes(range(64))
 
@@ -331,7 +331,7 @@ class _FixedCatalog:
         self.data = data
 
     def get_catalog(self):
-        return self.data
+        return catalog_lines(self.data)
 
 
 def test_repeat_catalog_fetch_skips_valid_signatures(

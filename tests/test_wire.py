@@ -25,6 +25,7 @@ from dataloa.errors import (
     Unreachable,
 )
 from dataloa.wire import (
+    CATALOG_CONTENT_TYPE,
     CONTENT_HASH_HEADER,
     AssuranceHTTPServer,
     HttpAssuranceTransport,
@@ -82,8 +83,15 @@ def test_catalogs_identical_across_transports(provider_http):
 
 def test_http_catalog_has_no_payload_locator(provider_http):
     http, _, _, _ = provider_http
-    for asset in http.get_catalog()["assets"]:
-        assert "payload_locator" not in asset
+    for line in http.get_catalog().splitlines()[1:]:
+        assert "payload_locator" not in json.loads(line)
+
+
+def test_http_catalog_is_sent_as_json_lines(provider_http):
+    http, provider, _, _ = provider_http
+    status, headers, body = _call(http.base_url, "GET", "/catalog")
+    assert (status, headers["Content-Type"]) == (200, CATALOG_CONTENT_TYPE)
+    assert body == provider.catalog().public_lines()
 
 
 # -- negotiation over HTTP --------------------------------------------------
@@ -353,6 +361,25 @@ def test_wrong_typed_field_gets_400_json(path, published, assurance):
     assert reply["error"] == "bad_request"
 
 
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("path", sorted(WRONG_TYPED))
+def test_body_nested_too_deep_gets_400_json(path, published, assurance):
+    """JSON nested deeper than the decoder can recurse is a bad request,
+    not a traceback and a dropped connection; the server serves on."""
+    provider, _, _ = published
+    server_cls, actor, probe = (
+        (ProviderHTTPServer, provider, "/catalog") if path == "/negotiations"
+        else (AssuranceHTTPServer, assurance, "/revocations")
+    )
+    with server_cls(actor) as server:
+        status, reply = _raw_post(server.base_url, path, _sized(DEEP_JSON), DEEP_JSON)
+        assert status == 400
+        assert reply["error"] == "bad_request"
+        assert _call(server.base_url, "GET", probe)[0] == 200
+
+
 # -- transport stalls -------------------------------------------------------
 
 
@@ -531,6 +558,22 @@ def test_revocations_without_a_list_are_malformed(body):
     with _StubServer(_answer("200 OK", body)) as stub, HttpAssuranceTransport(stub.url) as http:
         with pytest.raises(MalformedCatalog):
             http.get_revocations()
+
+
+@pytest.mark.parametrize("status", ["200 OK", "404 Not Found"])
+def test_reply_nested_too_deep_is_a_typed_error(status):
+    """A reply body, or an error body, nested deeper than the decoder can
+    recurse gives a DataLoaError, MalformedCatalog for a 200."""
+    expected = MalformedCatalog if status == "200 OK" else DataLoaError
+    calls = (
+        (HttpProviderTransport, lambda http: http.request_negotiation("a", CONSUMER_ID, "0" * 64, "0" * 64)),
+        (HttpAssuranceTransport, lambda http: http.get_revocations()),
+    )
+    with _StubServer(_answer(status, DEEP_JSON)) as stub:
+        for transport_cls, call in calls:  # the stub serves one connection at a time
+            with transport_cls(stub.url) as http, pytest.raises(expected) as caught:
+                call(http)
+            assert type(caught.value) is expected
 
 
 @pytest.mark.parametrize("status,body", [
