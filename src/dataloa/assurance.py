@@ -140,7 +140,6 @@ def audit(
     manifest: EvidenceManifest,
     requested_level: AssuranceLevel | int,
     reqs: LevelRequirements,
-    now: int,
     provider_public_key: Optional[str],
 ) -> AuditOutcome:
     """Check a claim's evidence against the requested level's demands.
@@ -281,19 +280,17 @@ class AssuranceService:
     ) -> AuditOutcome:
         claim = TrustClaim.from_dict(claim_data)
         manifest = EvidenceManifest.from_dict(manifest_data)
-        now = self.now()
         outcome = audit(
             claim,
             manifest,
             requested_level,
             self.requirements,
-            now,
             self.keys.public_key_for(claim.provider_id),
         )
         if not outcome.passed:
             return outcome
         attestation = issue_attestation(
-            claim, manifest, outcome, self.assurer_key, now, self.requirements
+            claim, manifest, outcome, self.assurer_key, self.now(), self.requirements
         )
         return replace(outcome, attestation=attestation.to_dict())
 

@@ -1,8 +1,9 @@
 """Provider and consumer data-space connectors.
 
 The provider connector owns the catalog (publication, negotiation,
-transfer); the consumer connector re-verifies everything it pulls off
-the wire before any of it reaches the decision logic. Assets whose
+transfer); the consumer connector verifies everything it pulls off the
+wire before any of it reaches the decision logic, or reuses the result
+of checking the same bytes under the same keys. Assets whose
 claims or attestations fail verification are surfaced flagged rather
 than hidden, so a consumer can see exactly what is wrong.
 
@@ -41,8 +42,8 @@ from .model import Agreement, AssuranceLevel, Attestation, TrustClaim, _check_st
 
 PERMITTED_ACTIONS = frozenset({"use", "distribute"})
 
-# Parsed assets each consumer keeps between fetches: twice the largest
-# catalog any caller serves (2000 assets).
+# Catalog lines each consumer keeps between fetches, parsed and verified:
+# twice the largest catalog any caller serves (2000 assets).
 PARSED_ASSETS_SIZE = 4096
 
 
@@ -540,8 +541,16 @@ class ConsumerConnector:
     integrity-checked transfer.
 
     Each instance keeps a bounded memo from the digest of an asset's
-    catalog line to the ``Asset`` parsed from it, so a repeat fetch of an
-    unchanged asset skips the parse but still re-checks every signature.
+    catalog line to the ``Asset`` parsed from it and the
+    ``VerifiedAsset`` its last check gave, with the inputs of that check:
+    the catalog header's ``provider_id`` and the public key this consumer
+    holds for each signer the asset names (its claim's provider and each
+    attestation's assurer, None for an absent key). The signatures, their
+    algorithms and every signed byte are inside the line, and Ed25519
+    verification is a deterministic function of key, message and
+    signature (RFC 8032). So when all those inputs match, the remembered
+    result is the answer a full check would give; any added, removed or
+    replaced key, or another header, checks the asset again.
     """
 
     def __init__(self, consumer_id: str, keys: KeyDirectory, clock=None):
@@ -554,8 +563,10 @@ class ConsumerConnector:
         return int(self._clock())
 
     def fetch_catalog(self, transport) -> VerifiedCatalog:
-        """Pull a provider's catalog and re-verify every claim and
-        attestation signature; nothing from the wire is trusted as-is.
+        """Pull a provider's catalog and verify every claim and
+        attestation signature; nothing from the wire is trusted as-is. An
+        asset whose line, header ``provider_id`` and signer keys all match
+        its memo entry reuses the result of its last check.
 
         The body is ``Catalog.public_lines``: a header object, then one
         asset per line. Each line must be one UTF-8 JSON value; the
@@ -567,28 +578,34 @@ class ConsumerConnector:
             provider_id, issued_at = head["provider_id"], head["issued_at"]
             if not isinstance(provider_id, str) or type(issued_at) is not int:
                 raise MalformedCatalog("catalog header needs a str provider_id, int issued_at")
-            assets = [self._parse_asset(line) for line in lines]
+            entries = [self._parse_asset(line) for line in lines]
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise MalformedCatalog(f"catalog response not parseable: {exc}") from exc
+        key_for = self.keys.public_key_for
+        verified = []
         try:
-            verified = tuple(self._verify_asset(asset, provider_id) for asset in assets)
+            for key, (asset, inputs, vasset) in entries:
+                signer_keys = (provider_id, key_for(asset.claim.provider_id),
+                               *[key_for(att.assurer_id) for att in asset.attestation_refs])
+                if signer_keys != inputs:
+                    vasset = self._verify_asset(asset, provider_id)
+                    self._parsed.add(key, (asset, signer_keys, vasset))
+                verified.append(vasset)
         except UnicodeEncodeError as exc:  # a lone surrogate in a signed string
             raise MalformedCatalog(f"catalog record not encodable as UTF-8: {exc}") from exc
-        return VerifiedCatalog(provider_id=provider_id, issued_at=issued_at, assets=verified)
+        return VerifiedCatalog(provider_id=provider_id, issued_at=issued_at, assets=tuple(verified))
 
-    def _parse_asset(self, line: bytes) -> Asset:
-        """The ``Asset`` one catalog line holds, parsed once per distinct
-        line: the same bytes always decode to the same record, so the
-        memo keys on their SHA-256 digest. An asset is remembered only
-        once ``from_dict`` has accepted it. Nothing remembered depends on
-        keys, time or revocations: ``_verify_asset`` checks every
-        signature again."""
+    def _parse_asset(self, line: bytes) -> tuple[bytes, tuple]:
+        """The SHA-256 digest of one catalog line and its memo entry
+        ``(asset, signer_keys, vasset)``. The same bytes always decode to
+        the same record, so a line is parsed once while its entry is
+        held; a line not held is parsed and given ``(asset, None, None)``,
+        which ``fetch_catalog`` stores once ``_verify_asset`` returns."""
         key = hashlib.sha256(line).digest()
-        asset = self._parsed.hit(key)
-        if asset is None:
-            asset = Asset.from_dict(json.loads(line.decode("utf-8")))
-            self._parsed.add(key, asset)
-        return asset
+        entry = self._parsed.hit(key)
+        if entry is None:
+            entry = (Asset.from_dict(json.loads(line.decode("utf-8"))), None, None)
+        return key, entry
 
     def _verify_asset(self, asset: Asset, provider_id: str) -> VerifiedAsset:
         problems: list[str] = []

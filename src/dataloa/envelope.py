@@ -255,17 +255,19 @@ VERIFIED_CACHE_SIZE = 8192
 
 
 class _VerifiedCache:
-    """Bounded, thread-safe LRU map from a signature check to its outcome.
+    """Bounded, thread-safe LRU map; a value is never None, so ``hit``
+    answers None for a miss.
 
-    A signature check is a deterministic function of (alg, public key,
-    message, signature) -- RFC 8032 for Ed25519 -- so a remembered
-    outcome, success or failure, is the answer the check would give
-    again.
+    ``_VERIFIED`` maps a signature check to its outcome. A signature
+    check is a deterministic function of (alg, public key, message,
+    signature) -- RFC 8032 for Ed25519 -- so a remembered outcome,
+    success or failure, is the answer the check would give again. Each
+    ``ConsumerConnector`` keeps one as its memo of catalog lines.
     """
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
-        self._keys: OrderedDict[Hashable, bool] = OrderedDict()
+        self._keys: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = threading.Lock()
 
     @staticmethod
@@ -274,18 +276,18 @@ class _VerifiedCache:
         bytes into its neighbour; the message enters as its digest."""
         return (alg, public_hex, sig_hex, hashlib.sha256(message).digest())
 
-    def hit(self, key: Hashable) -> Optional[bool]:
-        """The outcome held for ``key``, or None; a hit makes it the
-        most recent."""
+    def hit(self, key: Hashable) -> Any:
+        """The value held for ``key``, or None; a hit makes it the most
+        recent."""
         with self._lock:
-            outcome = self._keys.get(key)
-            if outcome is not None:
+            value = self._keys.get(key)
+            if value is not None:
                 self._keys.move_to_end(key)
-            return outcome
+            return value
 
-    def add(self, key: Hashable, outcome: bool = True) -> None:
+    def add(self, key: Hashable, value: Any = True) -> None:
         with self._lock:
-            self._keys[key] = outcome
+            self._keys[key] = value
             self._keys.move_to_end(key)
             if len(self._keys) > self.maxsize:
                 self._keys.popitem(last=False)

@@ -153,17 +153,32 @@ class _QuietHandler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
 
+    def _body_length(self) -> int:
+        """The declared body length; _BadRequest for any framing but one
+        Content-Length, so no body is left on the stream to be parsed as
+        the next request (RFC 9112 section 6)."""
+        if "Transfer-Encoding" in self.headers:
+            raise _BadRequest("Transfer-Encoding is not accepted")
+        values = self.headers.get_all("Content-Length", ["0"])
+        length = values[0].strip()
+        if any(v.strip() != length for v in values) or not (length.isascii() and length.isdigit()):
+            raise _BadRequest(f"invalid Content-Length {', '.join(values)!r}")
+        return int(length)
+
+    def _refuse_body(self) -> None:
+        """For a route that reads no body: _BadRequest if one is sent."""
+        if self._body_length():
+            raise _BadRequest(f"{self.command} {self.path} takes no body")
+
     def _read_json(self) -> dict:
         """The request body as a JSON object; _BadRequest otherwise.
 
-        The only path by which a handler reads a body, so a malformed
-        length, encoding or shape always gets a 400 and never drops the
-        connection or blocks the thread on a read to end of stream.
+        With _refuse_body, the only paths by which a handler meets a
+        body, so a malformed length, encoding or shape always gets a 400
+        and never drops the connection or blocks the thread on a read to
+        end of stream.
         """
-        declared = self.headers.get("Content-Length", "0").strip()
-        if not (declared.isascii() and declared.isdigit()):
-            raise _BadRequest(f"invalid Content-Length {declared!r}")
-        length = int(declared)
+        length = self._body_length()
         body = self.rfile.read(length) if length else b"{}"
         try:
             data = json.loads(body.decode("utf-8"))
@@ -215,6 +230,7 @@ class _ProviderHandler(_QuietHandler):
     def do_GET(self):
         provider = self.server.actor
         try:
+            self._refuse_body()
             if self.path == "/catalog":
                 body = provider.catalog().public_lines()
                 self._send_body(200, body, content_type=CATALOG_CONTENT_TYPE)
@@ -229,6 +245,8 @@ class _ProviderHandler(_QuietHandler):
                 self._send_json(404, {"error": "not_found", "message": self.path})
         except DataLoaError as exc:
             self._send_error_json(exc)
+        except _BadRequest as exc:
+            self._send_bad_request(exc)
 
     def do_POST(self):
         provider = self.server.actor
@@ -243,9 +261,11 @@ class _ProviderHandler(_QuietHandler):
                 )
                 self._send_json(201, session.to_dict())
             elif self.path.startswith("/negotiations/") and self.path.endswith("/finalize"):
+                self._refuse_body()
                 session_id = self.path.split("/")[2]
                 self._send_json(200, provider.finalize(session_id).to_dict())
             else:
+                self._refuse_body()
                 self._send_json(404, {"error": "not_found", "message": self.path})
         except DataLoaError as exc:
             self._send_error_json(exc)
@@ -257,12 +277,15 @@ class _AssuranceHandler(_QuietHandler):
     def do_GET(self):
         service = self.server.actor
         try:
+            self._refuse_body()
             if self.path == "/revocations":
                 self._send_json(200, {"revocations": service.revocations.to_list()})
             else:
                 self._send_json(404, {"error": "not_found", "message": self.path})
         except DataLoaError as exc:
             self._send_error_json(exc)
+        except _BadRequest as exc:
+            self._send_bad_request(exc)
 
     def do_POST(self):
         service = self.server.actor
@@ -278,6 +301,7 @@ class _AssuranceHandler(_QuietHandler):
                 service.revoke(body["attestation_id"], body.get("reason", ""))
                 self._send_empty(204)
             else:
+                self._refuse_body()
                 self._send_json(404, {"error": "not_found", "message": self.path})
         except DataLoaError as exc:
             self._send_error_json(exc)

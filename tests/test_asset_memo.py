@@ -1,6 +1,8 @@
-"""The consumer's parsed-asset memo: a repeat fetch of an unchanged asset
-reuses the record parsed from the same catalog line, and still checks
-every signature under the consumer's current keys."""
+"""The consumer's asset memo: a repeat fetch of an unchanged catalog line
+reuses the record parsed from it and the result of its last check, as
+long as the catalog header's provider_id and the public key the consumer
+holds for each signer the asset names are those that check used. Any
+other header or key checks the asset again, as a fresh consumer would."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from dataloa import connector
+from dataloa import connector, model
 from dataloa.connector import (
     Asset,
     ConsumerConnector,
@@ -222,6 +224,73 @@ def test_key_changes_count_on_a_warm_fetch(attested_provider, keys):
     assert not warm.fetch_catalog(transport).assets[0].claim_valid
     directory.add(public[PROVIDER_ID])
     assert warm.fetch_catalog(transport).assets[0].claim_valid
+
+
+def _count_verifies(monkeypatch) -> list[str]:
+    calls: list[str] = []
+    real = model.verify_payload
+
+    def counting(payload, envelope, public_hex):
+        calls.append(envelope.key_id)
+        return real(payload, envelope, public_hex)
+
+    monkeypatch.setattr(model, "verify_payload", counting)
+    return calls
+
+
+def test_warm_fetch_of_unchanged_catalog_verifies_nothing(monkeypatch, attested_provider,
+                                                          consumer):
+    calls = _count_verifies(monkeypatch)
+    transport = LocalProviderTransport(attested_provider)
+    first = consumer.fetch_catalog(transport)
+    assert sorted(calls) == sorted([PROVIDER_ID, ASSURER_ID])
+    calls.clear()
+    for _ in range(2):
+        assert consumer.fetch_catalog(transport) == first
+    assert calls == []
+    assert not first.assets[0].flagged
+
+
+def test_same_line_under_another_header_is_checked_again(monkeypatch, attested_provider,
+                                                         consumer, keys):
+    """The line a warm consumer verified under its provider's header is
+    flagged claim-provider-mismatch under another provider_id, as a fresh
+    consumer flags it; that result is then the one remembered."""
+    header, asset, _ = attested_provider.catalog().public_lines().split(b"\n")
+    assert not consumer.fetch_catalog(LocalProviderTransport(attested_provider)).assets[0].flagged
+    other = header.replace(PROVIDER_ID.encode(), b"urn:actor:other")
+    assert other != header
+    transport = SimpleNamespace(get_catalog=lambda: other + b"\n" + asset + b"\n")
+    warm = consumer.fetch_catalog(transport)
+    assert warm == _fresh(keys).fetch_catalog(transport)
+    vasset = warm.assets[0]
+    assert vasset.provider_id == "urn:actor:other"
+    assert not vasset.claim_valid
+    assert "claim-provider-mismatch" in vasset.problems[0]
+    calls = _count_verifies(monkeypatch)
+    assert consumer.fetch_catalog(transport) == warm
+    assert calls == []
+
+
+def test_key_replaced_in_the_held_directory_is_checked_again(monkeypatch, attested_provider,
+                                                             keys):
+    """A replacement assurer key added to the very KeyDirectory the
+    consumer holds makes the attestation fail on the next warm fetch."""
+    transport = LocalProviderTransport(attested_provider)
+    directory = KeyDirectory({actor: keys.signer_for(actor).public_only()
+                              for actor in (PROVIDER_ID, ASSURER_ID)})
+    warm = _fresh(directory)
+    assert len(warm.fetch_catalog(transport).assets[0].valid_attestations) == 1
+    directory.add(generate_keypair(ASSURER_ID).public_only())
+    catalog = warm.fetch_catalog(transport)
+    assert catalog == _fresh(directory).fetch_catalog(transport)
+    vasset = catalog.assets[0]
+    assert vasset.claim_valid
+    assert vasset.valid_attestations == ()
+    assert [cause for _, cause in vasset.ignored] == ["signature-invalid"]
+    calls = _count_verifies(monkeypatch)
+    assert warm.fetch_catalog(transport) == catalog
+    assert calls == []
 
 
 def test_memo_holds_at_most_its_bound(monkeypatch, provider, keys, make_claim):

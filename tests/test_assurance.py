@@ -73,7 +73,7 @@ def _provider_pub(keys):
 def test_audit_passes_with_sufficient_evidence(keys, make_claim, make_manifest):
     claim = make_claim(level=2)
     manifest = make_manifest(claim, kinds=tuple(LEVEL2_KINDS))
-    outcome = audit(claim, manifest, 2, LevelRequirements.default(), NOW,
+    outcome = audit(claim, manifest, 2, LevelRequirements.default(),
                     _provider_pub(keys))
     assert outcome.passed
     assert outcome.granted is AssuranceLevel.AUDITED
@@ -82,7 +82,7 @@ def test_audit_passes_with_sufficient_evidence(keys, make_claim, make_manifest):
 def test_audit_passes_level3_with_full_evidence(keys, make_claim, make_manifest):
     claim = make_claim(level=3)
     manifest = make_manifest(claim, kinds=tuple(LEVEL3_KINDS))
-    outcome = audit(claim, manifest, 3, LevelRequirements.default(), NOW,
+    outcome = audit(claim, manifest, 3, LevelRequirements.default(),
                     _provider_pub(keys))
     assert outcome.passed
     assert outcome.granted is AssuranceLevel.AUDITED_HIGH
@@ -91,7 +91,7 @@ def test_audit_passes_level3_with_full_evidence(keys, make_claim, make_manifest)
 def test_audit_fail_lists_every_missing_kind(keys, make_claim, make_manifest):
     claim = make_claim(level=3)
     manifest = make_manifest(claim, kinds=("quality-report",))
-    outcome = audit(claim, manifest, 3, LevelRequirements.default(), NOW,
+    outcome = audit(claim, manifest, 3, LevelRequirements.default(),
                     _provider_pub(keys))
     assert not outcome.passed
     # set-difference oracle: everything required for level 3 except
@@ -102,7 +102,7 @@ def test_audit_fail_lists_every_missing_kind(keys, make_claim, make_manifest):
 def test_audit_fail_on_claim_cap(keys, make_claim, make_manifest):
     claim = make_claim(level=2)
     manifest = make_manifest(claim, kinds=tuple(LEVEL3_KINDS))
-    outcome = audit(claim, manifest, 3, LevelRequirements.default(), NOW,
+    outcome = audit(claim, manifest, 3, LevelRequirements.default(),
                     _provider_pub(keys))
     assert not outcome.passed
     assert outcome.claim_cap_violation
@@ -113,7 +113,7 @@ def test_audit_rejects_non_auditable_level(keys, make_claim, make_manifest):
     claim = make_claim(level=2)
     manifest = make_manifest(claim)
     with pytest.raises(ValueError):
-        audit(claim, manifest, 1, LevelRequirements.default(), NOW,
+        audit(claim, manifest, 1, LevelRequirements.default(),
               _provider_pub(keys))
 
 
@@ -122,7 +122,7 @@ def test_audit_rejects_tampered_claim(keys, make_claim, make_manifest):
     tampered = TrustClaim.from_dict({**claim.to_dict(), "issued_at": NOW + 1})
     manifest = make_manifest(tampered)
     with pytest.raises(InvalidClaimSignature):
-        audit(tampered, manifest, 2, LevelRequirements.default(), NOW,
+        audit(tampered, manifest, 2, LevelRequirements.default(),
               _provider_pub(keys))
 
 
@@ -130,7 +130,7 @@ def test_audit_rejects_unknown_provider(make_claim, make_manifest):
     claim = make_claim(level=2)
     manifest = make_manifest(claim)
     with pytest.raises(InvalidClaimSignature):
-        audit(claim, manifest, 2, LevelRequirements.default(), NOW, None)
+        audit(claim, manifest, 2, LevelRequirements.default(), None)
 
 
 def test_audit_rejects_foreign_manifest(keys, make_claim, make_manifest):
@@ -138,7 +138,7 @@ def test_audit_rejects_foreign_manifest(keys, make_claim, make_manifest):
     other = make_claim(level=2, dataset_id="other-set")
     manifest = make_manifest(other)
     with pytest.raises(ManifestMismatch):
-        audit(claim, manifest, 2, LevelRequirements.default(), NOW,
+        audit(claim, manifest, 2, LevelRequirements.default(),
               _provider_pub(keys))
 
 
@@ -164,7 +164,7 @@ def test_audit_soundness_oracle(kinds, requested, claimed):
     )
     manifest = build_manifest(claim.claim_id, artifacts, created_at=NOW)
     reqs = LevelRequirements.default()
-    outcome = audit(claim, manifest, requested, reqs, NOW, key.public)
+    outcome = audit(claim, manifest, requested, reqs, key.public)
     required = reqs.for_level(requested).required_kinds
     should_pass = required <= kinds and requested <= claimed
     assert outcome.passed == should_pass
@@ -177,8 +177,8 @@ def test_requirement_monotonicity(keys, make_claim, make_manifest):
     manifest = make_manifest(claim, kinds=tuple(LEVEL3_KINDS))
     reqs = LevelRequirements.default()
     pub = _provider_pub(keys)
-    assert audit(claim, manifest, 3, reqs, NOW, pub).passed
-    assert audit(claim, manifest, 2, reqs, NOW, pub).passed
+    assert audit(claim, manifest, 3, reqs, pub).passed
+    assert audit(claim, manifest, 2, reqs, pub).passed
 
 
 # -- attestation issuance ---------------------------------------------------
@@ -188,7 +188,7 @@ def test_attestation_window_arithmetic(keys, assurer_key, make_claim, make_manif
     claim = make_claim(level=2)
     manifest = make_manifest(claim)
     reqs = LevelRequirements.default()
-    outcome = audit(claim, manifest, 2, reqs, 1000, _provider_pub(keys))
+    outcome = audit(claim, manifest, 2, reqs, _provider_pub(keys))
     att = issue_attestation(claim, manifest, outcome, assurer_key, 1000, reqs)
     assert att.valid_from == 1000
     assert att.valid_until == 1000 + 7776000
@@ -199,7 +199,7 @@ def test_attestation_verifies_and_binds(keys, assurer_key, make_claim, make_mani
     claim = make_claim(level=2)
     manifest = make_manifest(claim)
     reqs = LevelRequirements.default()
-    outcome = audit(claim, manifest, 2, reqs, NOW, _provider_pub(keys))
+    outcome = audit(claim, manifest, 2, reqs, _provider_pub(keys))
     att = issue_attestation(claim, manifest, outcome, assurer_key, NOW, reqs)
     assert verify_payload(att.signing_payload(), att.signature,
                           keys.public_key_for(ASSURER_ID))
@@ -216,7 +216,7 @@ def test_level3_attestation_gets_shorter_window(keys, assurer_key, make_claim,
     claim = make_claim(level=3)
     manifest = make_manifest(claim, kinds=tuple(LEVEL3_KINDS))
     reqs = LevelRequirements.default()
-    outcome = audit(claim, manifest, 3, reqs, NOW, _provider_pub(keys))
+    outcome = audit(claim, manifest, 3, reqs, _provider_pub(keys))
     att = issue_attestation(claim, manifest, outcome, assurer_key, NOW, reqs)
     assert att.valid_until - att.valid_from == 30 * DAY
 

@@ -380,6 +380,80 @@ def test_body_nested_too_deep_gets_400_json(path, published, assurance):
         assert _call(server.base_url, "GET", probe)[0] == 200
 
 
+def _exchange(base_url: str, request: bytes) -> tuple[list[int], bool]:
+    """Send hand-built request bytes on one connection; return the status
+    of each response read within 2 s (0 for bytes that start no
+    response), and whether the server then closed the connection."""
+    host, port = base_url.rsplit("/", 1)[1].split(":")
+    statuses: list[int] = []
+    with socket.create_connection((host, int(port)), timeout=2) as conn, \
+            conn.makefile("rb") as reply:
+        conn.sendall(request)
+        try:
+            while line := reply.readline():
+                if not line.startswith(b"HTTP/"):
+                    return statuses + [0], False
+                statuses.append(int(line.split()[1]))
+                reply.read(_content_length(reply))
+        except TimeoutError:
+            return statuses, False
+    return statuses, True
+
+
+SMUGGLED = b"GET /catalog HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+BODYLESS_ROUTES = [
+    ("provider", "POST", "/negotiations/x/finalize"),
+    ("provider", "GET", "/catalog"),
+    ("provider", "GET", "/transfers/x"),
+    ("provider", "POST", "/nowhere"),
+    ("assurance", "GET", "/revocations"),
+    ("assurance", "POST", "/nowhere"),
+]
+
+
+# Ways to frame SMUGGLED as a request body.
+FRAMINGS = {
+    "content-length": _sized(SMUGGLED).encode("latin-1") + b"\r\n" + SMUGGLED,
+    "zero-then-length": b"Content-Length: 0\r\n" + _sized(SMUGGLED).encode("latin-1")
+                        + b"\r\n" + SMUGGLED,
+    "chunked": b"Transfer-Encoding: chunked\r\n\r\n"
+               + b"%x\r\n" % len(SMUGGLED) + SMUGGLED + b"\r\n0\r\n\r\n",
+}
+
+
+@pytest.mark.parametrize("framing", sorted(FRAMINGS))
+@pytest.mark.parametrize("role, method, path", BODYLESS_ROUTES)
+def test_route_without_a_body_refuses_one(role, method, path, framing, published,
+                                          assurance):
+    """A request whose body is a whole second request, on a route that
+    reads no body, gets one 400 and a closed connection; the body is
+    never answered as a request of its own."""
+    server_cls, actor = ((ProviderHTTPServer, published[0]) if role == "provider"
+                         else (AssuranceHTTPServer, assurance))
+    with server_cls(actor) as server:
+        statuses, closed = _exchange(
+            server.base_url,
+            f"{method} {path} HTTP/1.1\r\nHost: x\r\n".encode() + FRAMINGS[framing])
+    assert statuses == [400]
+    assert closed
+
+
+def test_zero_content_length_keeps_the_connection(published):
+    """http.client sends Content-Length: 0 on a bodiless POST; that is no
+    body, and each further request on the connection is answered."""
+    provider, _, _ = published
+    with ProviderHTTPServer(provider) as server:
+        statuses, closed = _exchange(
+            server.base_url,
+            b"POST /negotiations/x/finalize HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
+            + SMUGGLED + b"GET /catalog HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        )
+    assert statuses == [404, 200, 200]
+    assert closed
+
+
 # -- transport stalls -------------------------------------------------------
 
 
