@@ -87,25 +87,27 @@ class StepFailure(DataLoaError):
     """A scenario step could not be carried out as written."""
 
 
-# Stable wire codes for mapping domain errors across the HTTP boundary.
-WIRE_CODES = {
-    InvalidClaimSignature: "invalid_claim_signature",
-    ManifestMismatch: "manifest_mismatch",
-    HashMismatch: "hash_mismatch",
-    InvalidClaim: "invalid_claim",
-    DuplicateAssetId: "duplicate_asset_id",
-    IllegalTransition: "illegal_transition",
-    UnknownSession: "unknown_session",
-    NoSuchAgreement: "no_such_agreement",
-    NotFinalized: "not_finalized",
-    UnknownAlgorithm: "unknown_algorithm",
+# Stable wire codes and HTTP statuses for domain errors crossing the HTTP
+# boundary; a type not listed is ("domain_error", 500).
+WIRE_CODES: dict[type, tuple[str, int]] = {
+    InvalidClaimSignature: ("invalid_claim_signature", 400),
+    ManifestMismatch: ("manifest_mismatch", 400),
+    HashMismatch: ("hash_mismatch", 400),
+    InvalidClaim: ("invalid_claim", 400),
+    DuplicateAssetId: ("duplicate_asset_id", 500),
+    IllegalTransition: ("illegal_transition", 409),
+    UnknownSession: ("unknown_session", 404),
+    NoSuchAgreement: ("no_such_agreement", 404),
+    NotFinalized: ("not_finalized", 409),
+    UnknownAlgorithm: ("unknown_algorithm", 500),
 }
 
-_CODE_TO_ERROR = {code: exc for exc, code in WIRE_CODES.items()}
+_CODE_TO_ERROR = {code: exc for exc, (code, _) in WIRE_CODES.items()}
 
 
-def wire_code_for(exc: DataLoaError) -> str:
-    return WIRE_CODES.get(type(exc), "domain_error")
+def wire_code_for(exc: DataLoaError) -> tuple[str, int]:
+    """The wire code and HTTP status of a domain error."""
+    return WIRE_CODES.get(type(exc), ("domain_error", 500))
 
 
 def error_for_wire_code(code: str, message: str) -> DataLoaError:

@@ -1,136 +1,183 @@
 """Transports connecting consumers to providers and assurers.
 
-Two interchangeable implementations of the same contract:
+Each endpoint is written once, as an entry in its actor's route table,
+PROVIDER_ROUTES or ASSURANCE_ROUTES, keyed by the transport method that
+calls it. Everything else reads the tables:
 
-* local: direct in-process calls against a ProviderConnector or
-  AssuranceService, still exchanging plain dicts, and the catalog's
-  body bytes, so the consumer code path is byte-for-byte the same as
-  over HTTP;
-* http: a stdlib threaded HTTP server per actor plus a stdlib client
-  holding one keep-alive connection per transport, with domain errors
-  mapped to status codes on the way out and reconstructed from the
-  response body on the way back in.
+* the servers: one dispatcher matches a request's method and path
+  against the table, reads or refuses its body, makes the entry's call
+  and encodes the result, or the domain error with its errors.WIRE_CODES
+  code and status;
+* local (in-process) transports: make the entry's call directly, so
+  they get the same dicts, and the catalog's body bytes, that the
+  server sends, and the consumer code path is the same in both modes;
+* HTTP clients: one keep-alive connection per transport, one round trip
+  per call, the reply decoded to what the in-process call returns, or
+  the error it names raised again.
 
-A consumer holding a ProviderTransport cannot tell which one it has.
+A consumer holding either kind of transport cannot tell which it has.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import re
 import select
 import socket
 import ssl
 import threading
 import urllib.parse
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
-from typing import NamedTuple, Optional, Protocol
+from typing import Any, Callable, NamedTuple, Optional
 
 from .assurance import AssuranceService
 from .connector import ProviderConnector
 from .errors import (
     DataLoaError,
-    HashMismatch,
-    IllegalTransition,
-    InvalidClaim,
-    InvalidClaimSignature,
     MalformedCatalog,
-    ManifestMismatch,
-    NoSuchAgreement,
-    NotFinalized,
-    UnknownSession,
     Unreachable,
     error_for_wire_code,
     wire_code_for,
 )
 
 CONTENT_HASH_HEADER = "X-Content-Hash"
+JSON_CONTENT_TYPE = "application/json"
 CATALOG_CONTENT_TYPE = "application/jsonl"  # JSON Lines, one asset per line
+PAYLOAD_CONTENT_TYPE = "application/octet-stream"
+AUDIT_FAILED = 422  # the status of an audit outcome that did not pass
 
-STATUS_FOR_ERROR: dict[type, int] = {
-    UnknownSession: 404,
-    NoSuchAgreement: 404,
-    IllegalTransition: 409,
-    NotFinalized: 409,
-    InvalidClaimSignature: 400,
-    ManifestMismatch: 400,
-    HashMismatch: 400,
-    InvalidClaim: 400,
+
+class _Route(NamedTuple):
+    """One endpoint. ``call(actor, ident, body)`` gets the path's ``{}``
+    segment and the request's JSON object, and returns a dict (sent as
+    JSON), bytes, a ``(payload, declared hash)`` pair or None (no body)."""
+
+    method: str
+    path: str  # "{}" stands for one id segment
+    reads_body: bool
+    status: int
+    content_type: Optional[str]
+    call: Callable[[Any, Optional[str], Optional[dict]], Any]
+
+
+# Each call looks its service method up on the actor when it runs, so a
+# method patched on the class after import (a tracer's, say) is the one
+# called.
+PROVIDER_ROUTES: dict[str, _Route] = {
+    "get_catalog": _Route(
+        "GET", "/catalog", False, 200, CATALOG_CONTENT_TYPE,
+        lambda provider, _, __: provider.catalog().public_lines()),
+    "request_negotiation": _Route(
+        "POST", "/negotiations", True, 201, JSON_CONTENT_TYPE,
+        lambda provider, _, body: provider.handle_negotiation_request(
+            body["asset_id"], body["consumer_id"], body["policy_hash"], body["claim_hash"]
+        ).to_dict()),
+    "get_negotiation": _Route(
+        "GET", "/negotiations/{}", False, 200, JSON_CONTENT_TYPE,
+        lambda provider, session_id, _: provider.get_session(session_id).to_dict()),
+    "finalize_negotiation": _Route(
+        "POST", "/negotiations/{}/finalize", False, 200, JSON_CONTENT_TYPE,
+        lambda provider, session_id, _: provider.finalize(session_id).to_dict()),
+    "get_transfer": _Route(
+        "GET", "/transfers/{}", False, 200, PAYLOAD_CONTENT_TYPE,
+        lambda provider, agreement_id, _: provider.transfer(agreement_id)),
+}
+
+ASSURANCE_ROUTES: dict[str, _Route] = {
+    "request_audit": _Route(
+        "POST", "/audits", True, 200, JSON_CONTENT_TYPE,
+        lambda service, _, body: service.handle_audit(
+            body["claim"], body["manifest"], body["requested_level"]
+        ).to_dict()),
+    "get_revocations": _Route(
+        "GET", "/revocations", False, 200, JSON_CONTENT_TYPE,
+        lambda service, _, __: {"revocations": service.revocations.to_list()}),
+    "revoke": _Route(
+        "POST", "/revocations", True, 204, None,
+        lambda service, _, body: service.revoke(body["attestation_id"], body.get("reason", ""))),
 }
 
 
-class ProviderTransport(Protocol):
-    def get_catalog(self) -> bytes: ...
+# ---------------------------------------------------------------------------
+# Transports: each method written once, over the mode's _call
+# ---------------------------------------------------------------------------
+
+
+class _ProviderCalls:
+    _routes = PROVIDER_ROUTES
+
+    def get_catalog(self) -> bytes:
+        return self._call("get_catalog")
 
     def request_negotiation(
         self, asset_id: str, consumer_id: str, policy_hash: str, claim_hash: str
-    ) -> dict: ...
+    ) -> dict:
+        return self._call("request_negotiation", body={
+            "asset_id": asset_id, "consumer_id": consumer_id,
+            "policy_hash": policy_hash, "claim_hash": claim_hash,
+        })
 
-    def get_negotiation(self, session_id: str) -> dict: ...
+    def get_negotiation(self, session_id: str) -> dict:
+        return self._call("get_negotiation", session_id)
 
-    def finalize_negotiation(self, session_id: str) -> dict: ...
+    def finalize_negotiation(self, session_id: str) -> dict:
+        return self._call("finalize_negotiation", session_id)
 
-    def get_transfer(self, agreement_id: str) -> tuple[bytes, str]: ...
-
-
-class AssuranceTransport(Protocol):
-    def request_audit(
-        self, claim: dict, manifest: dict, requested_level: int
-    ) -> dict: ...
-
-    def get_revocations(self) -> list[dict]: ...
-
-    def revoke(self, attestation_id: str, reason: str) -> None: ...
+    def get_transfer(self, agreement_id: str) -> tuple[bytes, str]:
+        return self._call("get_transfer", agreement_id)
 
 
-# ---------------------------------------------------------------------------
-# Local (in-process) transports
-# ---------------------------------------------------------------------------
+class _AssuranceCalls:
+    """A garbled answer is MalformedCatalog, never read as an outcome or
+    as "nothing revoked"."""
+
+    _routes = ASSURANCE_ROUTES
+
+    def request_audit(self, claim: dict, manifest: dict, requested_level: int) -> dict:
+        outcome = self._call("request_audit", body={
+            "claim": claim, "manifest": manifest, "requested_level": requested_level,
+        })
+        if not isinstance(outcome, dict) or not isinstance(outcome.get("passed"), bool):
+            raise MalformedCatalog(f"no audit outcome from {self._origin}")
+        return outcome
+
+    def get_revocations(self) -> list[dict]:
+        body = self._call("get_revocations")
+        entries = body.get("revocations") if isinstance(body, dict) else None
+        if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("attestation_id"), str) for e in entries
+        ):
+            raise MalformedCatalog(f"no revocation list from {self._origin}")
+        return entries
+
+    def revoke(self, attestation_id: str, reason: str) -> None:
+        self._call("revoke", body={"attestation_id": attestation_id, "reason": reason})
 
 
-class LocalProviderTransport:
+class LocalProviderTransport(_ProviderCalls):
     """Direct calls into a provider connector, shaped like HTTP: dicts,
     and the catalog as the body bytes the server sends."""
 
     def __init__(self, provider: ProviderConnector):
         self.provider = provider
 
-    def get_catalog(self) -> bytes:
-        return self.provider.catalog().public_lines()
-
-    def request_negotiation(
-        self, asset_id: str, consumer_id: str, policy_hash: str, claim_hash: str
-    ) -> dict:
-        session = self.provider.handle_negotiation_request(
-            asset_id, consumer_id, policy_hash, claim_hash
-        )
-        return session.to_dict()
-
-    def get_negotiation(self, session_id: str) -> dict:
-        return self.provider.get_session(session_id).to_dict()
-
-    def finalize_negotiation(self, session_id: str) -> dict:
-        return self.provider.finalize(session_id).to_dict()
-
-    def get_transfer(self, agreement_id: str) -> tuple[bytes, str]:
-        return self.provider.transfer(agreement_id)
+    def _call(self, name: str, ident: Optional[str] = None, body: Optional[dict] = None):
+        return self._routes[name].call(self.provider, ident, body)
 
 
-class LocalAssuranceTransport:
+class LocalAssuranceTransport(_AssuranceCalls):
     """Direct calls into an assurance service, dict-shaped like HTTP."""
+
+    _origin = "the in-process assurer"
 
     def __init__(self, service: AssuranceService):
         self.service = service
 
-    def request_audit(self, claim: dict, manifest: dict, requested_level: int) -> dict:
-        return self.service.handle_audit(claim, manifest, requested_level).to_dict()
-
-    def get_revocations(self) -> list[dict]:
-        return self.service.revocations.to_list()
-
-    def revoke(self, attestation_id: str, reason: str) -> None:
-        self.service.revoke(attestation_id, reason)
+    def _call(self, name: str, ident: Optional[str] = None, body: Optional[dict] = None):
+        return self._routes[name].call(self.service, ident, body)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +189,16 @@ class _BadRequest(ValueError):
     """A request whose headers or body cannot be parsed."""
 
 
+_HTTP_1X = re.compile(rb"HTTP/1\.[0-9]")
+
+
+def _patterns(routes: dict[str, _Route]) -> list[tuple[re.Pattern, _Route]]:
+    """Each route with its path as a pattern, ``{}`` matching exactly one
+    non-empty segment."""
+    return [(re.compile(re.escape(route.path).replace(r"\{\}", "([^/]+)")), route)
+            for route in routes.values()]
+
+
 class _QuietHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     # TCP_NODELAY on each accepted socket: a body written after its
@@ -149,9 +206,56 @@ class _QuietHandler(BaseHTTPRequestHandler):
     # delayed ACK (Nagle, RFC 896, against RFC 1122 4.2.3.2), ~40 ms.
     disable_nagle_algorithm = True
     server: _ActorHTTPServer  # the actor a handler serves is self.server.actor
+    routes: list[tuple[re.Pattern, _Route]]  # the actor's table, as _patterns
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass
+
+    def parse_request(self) -> bool:
+        """Refuse a request line that is not ``METHOD target HTTP/1.x``
+        (RFC 9112 section 3) with a 400. The stdlib would take a shorter
+        one as HTTP/0.9: an answer with no status line, or a wait for
+        header lines that never come."""
+        words = self.raw_requestline.split()
+        if len(words) != 3 or not _HTTP_1X.fullmatch(words[2]):
+            # What the stdlib sets first; a version other than HTTP/0.9
+            # gives the answer a status line and headers.
+            self.command, self.requestline, self.request_version = None, "", self.protocol_version
+            self.send_error(400, "request line is not METHOD target HTTP/1.x")
+            return False
+        return super().parse_request()
+
+    def send_error(self, code: int, message: Optional[str] = None, explain: Optional[str] = None):
+        """Every error the stdlib sends itself (an unknown method, a
+        request line or header too long), and every 400, as a JSON error
+        object on a closing connection: a refused request may leave
+        unread bytes on the stream, so it cannot carry another."""
+        phrase = HTTPStatus(code).phrase
+        error = re.sub(r"\W+", "_", phrase.lower())  # "Bad Request" is "bad_request"
+        body = json.dumps({"error": error, "message": message or phrase}).encode("utf-8")
+        self._send_body(code, b"" if self.command == "HEAD" else body, close=True)
+
+    def do_GET(self):
+        """Serve the request by the route in ``routes`` that matches its
+        method and path; 404 for none."""
+        try:
+            for pattern, route in self.routes:
+                if route.method == self.command and (match := pattern.fullmatch(self.path)):
+                    break
+            else:
+                self._refuse_body()
+                self._send_json(404, {"error": "not_found", "message": self.path})
+                return
+            body = self._read_json() if route.reads_body else self._refuse_body()
+            ident = urllib.parse.unquote(match.group(1)) if pattern.groups else None
+            self._send_result(route, route.call(self.server.actor, ident, body))
+        except DataLoaError as exc:
+            code, status = wire_code_for(exc)
+            self._send_json(status, {"error": code, "message": str(exc)})
+        except (KeyError, TypeError, ValueError) as exc:  # _BadRequest is a ValueError
+            self.send_error(400, str(exc))
+
+    do_POST = do_GET
 
     def _body_length(self) -> int:
         """The declared body length; _BadRequest for any framing but one
@@ -189,124 +293,39 @@ class _QuietHandler(BaseHTTPRequestHandler):
             raise _BadRequest(f"body must be a JSON object, not {type(data).__name__}")
         return data
 
+    def _send_result(self, route: _Route, result) -> None:
+        if isinstance(result, dict):
+            self._send_json(AUDIT_FAILED if result.get("passed") is False else route.status, result)
+        elif result is None or isinstance(result, bytes):
+            self._send_body(route.status, result or b"", route.content_type)
+        else:
+            payload, declared = result
+            self._send_body(route.status, payload, route.content_type,
+                            headers=((CONTENT_HASH_HEADER, declared),))
+
     def _send_json(self, status: int, payload) -> None:
         self._send_body(status, json.dumps(payload).encode("utf-8"))
 
-    def _send_body(self, status: int, body: bytes, close: bool = False,
-                   content_type: str = "application/json") -> None:
+    def _send_body(self, status: int, body: bytes, content_type: Optional[str] = JSON_CONTENT_TYPE,
+                   close: bool = False, headers: tuple[tuple[str, str], ...] = ()) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", content_type)
+        if content_type:
+            self.send_header("Content-Type", content_type)
+        for name, value in headers:
+            self.send_header(name, value)
         self.send_header("Content-Length", str(len(body)))
         if close:
             self.send_header("Connection", "close")  # also sets close_connection
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_bytes(self, payload: bytes, declared_hash: str) -> None:
-        self.send_response(200)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header(CONTENT_HASH_HEADER, declared_hash)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _send_empty(self, status: int) -> None:
-        self.send_response(status)
-        self.send_header("Content-Length", "0")
-        self.end_headers()
-
-    def _send_error_json(self, exc: DataLoaError) -> None:
-        status = STATUS_FOR_ERROR.get(type(exc), 500)
-        self._send_json(status, {"error": wire_code_for(exc), "message": str(exc)})
-
-    def _send_bad_request(self, exc: Exception) -> None:
-        # A rejected body may be partly unread, so the stream cannot
-        # carry another request.
-        body = json.dumps({"error": "bad_request", "message": str(exc)})
-        self._send_body(400, body.encode("utf-8"), close=True)
-
 
 class _ProviderHandler(_QuietHandler):
-    def do_GET(self):
-        provider = self.server.actor
-        try:
-            self._refuse_body()
-            if self.path == "/catalog":
-                body = provider.catalog().public_lines()
-                self._send_body(200, body, content_type=CATALOG_CONTENT_TYPE)
-            elif self.path.startswith("/negotiations/"):
-                session_id = self.path.split("/", 2)[2]
-                self._send_json(200, provider.get_session(session_id).to_dict())
-            elif self.path.startswith("/transfers/"):
-                agreement_id = self.path.split("/", 2)[2]
-                payload, declared = provider.transfer(agreement_id)
-                self._send_bytes(payload, declared)
-            else:
-                self._send_json(404, {"error": "not_found", "message": self.path})
-        except DataLoaError as exc:
-            self._send_error_json(exc)
-        except _BadRequest as exc:
-            self._send_bad_request(exc)
-
-    def do_POST(self):
-        provider = self.server.actor
-        try:
-            if self.path == "/negotiations":
-                body = self._read_json()
-                session = provider.handle_negotiation_request(
-                    body["asset_id"],
-                    body["consumer_id"],
-                    body["policy_hash"],
-                    body["claim_hash"],
-                )
-                self._send_json(201, session.to_dict())
-            elif self.path.startswith("/negotiations/") and self.path.endswith("/finalize"):
-                self._refuse_body()
-                session_id = self.path.split("/")[2]
-                self._send_json(200, provider.finalize(session_id).to_dict())
-            else:
-                self._refuse_body()
-                self._send_json(404, {"error": "not_found", "message": self.path})
-        except DataLoaError as exc:
-            self._send_error_json(exc)
-        except (KeyError, TypeError, ValueError) as exc:  # _BadRequest is a ValueError
-            self._send_bad_request(exc)
+    routes = _patterns(PROVIDER_ROUTES)
 
 
 class _AssuranceHandler(_QuietHandler):
-    def do_GET(self):
-        service = self.server.actor
-        try:
-            self._refuse_body()
-            if self.path == "/revocations":
-                self._send_json(200, {"revocations": service.revocations.to_list()})
-            else:
-                self._send_json(404, {"error": "not_found", "message": self.path})
-        except DataLoaError as exc:
-            self._send_error_json(exc)
-        except _BadRequest as exc:
-            self._send_bad_request(exc)
-
-    def do_POST(self):
-        service = self.server.actor
-        try:
-            if self.path == "/audits":
-                body = self._read_json()
-                outcome = service.handle_audit(
-                    body["claim"], body["manifest"], body["requested_level"]
-                )
-                self._send_json(200 if outcome.passed else 422, outcome.to_dict())
-            elif self.path == "/revocations":
-                body = self._read_json()
-                service.revoke(body["attestation_id"], body.get("reason", ""))
-                self._send_empty(204)
-            else:
-                self._refuse_body()
-                self._send_json(404, {"error": "not_found", "message": self.path})
-        except DataLoaError as exc:
-            self._send_error_json(exc)
-        except (KeyError, TypeError, ValueError) as exc:  # _BadRequest is a ValueError
-            self._send_bad_request(exc)
+    routes = _patterns(ASSURANCE_ROUTES)
 
 
 class _ActorHTTPServer(ThreadingHTTPServer):
@@ -419,16 +438,6 @@ class AssuranceHTTPServer(_ActorServer):
 # ---------------------------------------------------------------------------
 
 
-class _Response(NamedTuple):
-    status_code: int
-    headers: http.client.HTTPMessage
-    content: bytes
-    url: str
-
-    def json(self):
-        return json.loads(self.content)
-
-
 def _readable(sock: socket.socket) -> bool:
     """Whether sock has bytes or an end of stream waiting, without blocking."""
     if hasattr(select, "poll"):
@@ -465,6 +474,10 @@ class _HttpClient:
         # bench/tracing.py sets its span header here; every request sends these.
         self._session = SimpleNamespace(headers={})
 
+    @property
+    def _origin(self) -> str:
+        return self.base_url
+
     def close(self) -> None:
         """Close the connection; a later request opens a new one."""
         with self._lock:
@@ -476,13 +489,17 @@ class _HttpClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _request(self, method: str, path: str, json_body: Optional[dict] = None) -> _Response:
+    def _call(self, name: str, ident: Optional[str] = None, body: Optional[dict] = None):
+        """One round trip to the route ``name``: the reply decoded to what
+        the in-process call returns, or the error it names raised."""
+        route = self._routes[name]
+        # A route's id goes out as one segment, whatever its characters.
+        path = route.path.format(urllib.parse.quote(str(ident), safe=""))
         url = f"{self.base_url}{path}"
         headers = dict(self._session.headers)
-        body = None
-        if json_body is not None:
-            body = json.dumps(json_body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
+        if body is not None:
+            body = json.dumps(body).encode("utf-8")
+            headers["Content-Type"] = JSON_CONTENT_TYPE
         with self._lock:
             conn = self._conn
             # An idle connection has nothing to read: if it is readable,
@@ -491,7 +508,7 @@ class _HttpClient:
             if conn.sock is not None and _readable(conn.sock):
                 conn.close()
             try:
-                conn.request(method, self._path_prefix + path, body, headers)
+                conn.request(route.method, self._path_prefix + path, body, headers)
                 response = conn.getresponse()
                 # Read in full so the connection is free for the next
                 # request; http.client itself closes it on will_close.
@@ -499,96 +516,27 @@ class _HttpClient:
             except (OSError, http.client.HTTPException) as exc:
                 conn.close()
                 raise Unreachable(f"{url}: {exc}") from exc
-        return _Response(response.status, response.headers, content, url)
-
-    def _raise_for_error(self, response: _Response) -> None:
-        if response.status_code < 400:
-            return
-        try:
-            body = response.json()
-            error = error_for_wire_code(body["error"], body.get("message", ""))
-        except (ValueError, KeyError, TypeError, RecursionError):
-            raise DataLoaError(
-                f"HTTP {response.status_code} from {response.url}"
-            ) from None
-        raise error
-
-    def _json_of(self, response: _Response):
-        try:
-            return response.json()
-        except (ValueError, RecursionError) as exc:
-            raise MalformedCatalog(f"non-JSON response from {response.url}") from exc
+        failed_audit = response.status == AUDIT_FAILED and name == "request_audit"
+        if response.status >= 400 and not failed_audit:
+            try:
+                error = json.loads(content)
+                error = error_for_wire_code(error["error"], error.get("message", ""))
+            except (ValueError, KeyError, TypeError, RecursionError):
+                raise DataLoaError(f"HTTP {response.status} from {url}") from None
+            raise error
+        if route.content_type == JSON_CONTENT_TYPE:
+            try:
+                return json.loads(content)
+            except (ValueError, RecursionError) as exc:
+                raise MalformedCatalog(f"non-JSON response from {url}") from exc
+        if route.content_type == PAYLOAD_CONTENT_TYPE:
+            return content, response.headers.get(CONTENT_HASH_HEADER, "")
+        return content if route.content_type else None
 
 
-class HttpProviderTransport(_HttpClient):
+class HttpProviderTransport(_ProviderCalls, _HttpClient):
     """Client for a provider's HTTP endpoints."""
 
-    def get_catalog(self) -> bytes:
-        response = self._request("GET", "/catalog")
-        self._raise_for_error(response)
-        return response.content
 
-    def request_negotiation(
-        self, asset_id: str, consumer_id: str, policy_hash: str, claim_hash: str
-    ) -> dict:
-        response = self._request(
-            "POST",
-            "/negotiations",
-            {
-                "asset_id": asset_id,
-                "consumer_id": consumer_id,
-                "policy_hash": policy_hash,
-                "claim_hash": claim_hash,
-            },
-        )
-        self._raise_for_error(response)
-        return self._json_of(response)
-
-    def get_negotiation(self, session_id: str) -> dict:
-        response = self._request("GET", f"/negotiations/{session_id}")
-        self._raise_for_error(response)
-        return self._json_of(response)
-
-    def finalize_negotiation(self, session_id: str) -> dict:
-        response = self._request("POST", f"/negotiations/{session_id}/finalize")
-        self._raise_for_error(response)
-        return self._json_of(response)
-
-    def get_transfer(self, agreement_id: str) -> tuple[bytes, str]:
-        response = self._request("GET", f"/transfers/{agreement_id}")
-        self._raise_for_error(response)
-        return response.content, response.headers.get(CONTENT_HASH_HEADER, "")
-
-
-class HttpAssuranceTransport(_HttpClient):
+class HttpAssuranceTransport(_AssuranceCalls, _HttpClient):
     """Client for an assurer's HTTP endpoints."""
-
-    def request_audit(self, claim: dict, manifest: dict, requested_level: int) -> dict:
-        response = self._request(
-            "POST",
-            "/audits",
-            {"claim": claim, "manifest": manifest, "requested_level": requested_level},
-        )
-        if response.status_code != 422:  # a failed audit, not an error
-            self._raise_for_error(response)
-        body = self._json_of(response)
-        if not isinstance(body, dict) or not isinstance(body.get("passed"), bool):
-            raise MalformedCatalog(f"no audit outcome from {response.url}")
-        return body
-
-    def get_revocations(self) -> list[dict]:
-        response = self._request("GET", "/revocations")
-        self._raise_for_error(response)
-        body = self._json_of(response)
-        entries = body.get("revocations") if isinstance(body, dict) else None
-        if not isinstance(entries, list) or not all(
-            isinstance(e, dict) and isinstance(e.get("attestation_id"), str) for e in entries
-        ):
-            raise MalformedCatalog(f"no revocation list from {response.url}")
-        return entries
-
-    def revoke(self, attestation_id: str, reason: str) -> None:
-        response = self._request(
-            "POST", "/revocations", {"attestation_id": attestation_id, "reason": reason}
-        )
-        self._raise_for_error(response)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import os
@@ -11,10 +12,12 @@ import sys
 import threading
 import time
 import urllib.parse
+from types import SimpleNamespace
 
 import pytest
 
-from dataloa.connector import NegotiationState
+from dataloa.assurance import AssuranceService
+from dataloa.connector import NegotiationState, ProviderConnector, default_policy
 from dataloa.errors import (
     DataLoaError,
     IllegalTransition,
@@ -25,8 +28,10 @@ from dataloa.errors import (
     Unreachable,
 )
 from dataloa.wire import (
+    ASSURANCE_ROUTES,
     CATALOG_CONTENT_TYPE,
     CONTENT_HASH_HEADER,
+    PROVIDER_ROUTES,
     AssuranceHTTPServer,
     HttpAssuranceTransport,
     HttpProviderTransport,
@@ -35,7 +40,7 @@ from dataloa.wire import (
     ProviderHTTPServer,
 )
 
-from conftest import CONSUMER_ID, PAYLOAD
+from conftest import CONSUMER_ID, NOW, PAYLOAD
 
 
 @pytest.fixture
@@ -188,6 +193,23 @@ def test_http_unknown_path_is_404(provider_http):
     assert status == 404
 
 
+@pytest.mark.parametrize("method, path", [
+    ("POST", "/negotiations/{sid}/x/finalize"),
+    ("POST", "/negotiations/{sid}//finalize"),
+    ("GET", "/negotiations/{sid}/x"),
+    ("GET", "/transfers/{aid}/x"),
+])
+def test_route_matches_whole_segments(method, path, provider_http):
+    """An id is exactly one path segment: a path with more segments than
+    a route's reaches no route, and leaves the session as it was."""
+    http, _, asset, _ = provider_http
+    session = http.request_negotiation(asset.asset_id, CONSUMER_ID, *_hashes(asset))
+    target = path.format(sid=session["session_id"], aid=session["agreement"]["agreement_id"])
+    status, _, body = _call(http.base_url, method, target)
+    assert (status, json.loads(body)["error"]) == (404, "not_found")
+    assert http.get_negotiation(session["session_id"])["state"] == NegotiationState.AGREED.value
+
+
 def test_consumer_is_transport_agnostic(provider_http, consumer):
     """The consumer happy path runs unchanged on either transport."""
     http, provider, asset, claim = provider_http
@@ -200,6 +222,98 @@ def test_consumer_is_transport_agnostic(provider_http, consumer):
     outcome = consumer.negotiate(http, via_http.get(asset.asset_id))
     assert outcome.finalized
     assert consumer.transfer(http, outcome.agreement_id, claim.content_hash) == PAYLOAD
+
+
+# -- mode parity, over every route ------------------------------------------
+
+
+@pytest.fixture
+def twin_worlds(keys, provider_key, assurer_key, make_claim, make_manifest):
+    """Two worlds built alike, one reached in process and one over HTTP:
+    {mode: namespace of its transports and the requests' inputs}."""
+    claim = make_claim()
+    worlds = {}
+    with contextlib.ExitStack() as stack:
+        for mode in ("local", "http"):
+            provider = ProviderConnector(provider_key=provider_key, keys=keys, clock=lambda: NOW)
+            asset = provider.publish(payload=PAYLOAD, description="well data",
+                                     policy=default_policy(), claim=claim)
+            assurance = AssuranceService(assurer_key=assurer_key, key_directory=keys,
+                                         clock=lambda: NOW)
+            if mode == "local":
+                p, a = LocalProviderTransport(provider), LocalAssuranceTransport(assurance)
+            else:
+                p = stack.enter_context(HttpProviderTransport(
+                    stack.enter_context(ProviderHTTPServer(provider)).base_url))
+                a = stack.enter_context(HttpAssuranceTransport(
+                    stack.enter_context(AssuranceHTTPServer(assurance)).base_url))
+            worlds[mode] = SimpleNamespace(
+                p=p, a=a, asset=asset, claim=claim.to_dict(),
+                passing=make_manifest(claim).to_dict(),
+                failing=make_manifest(claim, kinds=("quality-report",)).to_dict())
+        yield worlds
+
+
+def _negotiated(w) -> dict:
+    return w.p.request_negotiation(w.asset.asset_id, CONSUMER_ID, *_hashes(w.asset))
+
+
+def _finalized(w) -> dict:
+    return w.p.finalize_negotiation(_negotiated(w)["session_id"])
+
+
+# One successful call per route name, each after the calls it needs.
+SUCCESSES = {
+    "get_catalog": lambda w: w.p.get_catalog(),
+    "request_negotiation": _negotiated,
+    "get_negotiation": lambda w: w.p.get_negotiation(_negotiated(w)["session_id"]),
+    "finalize_negotiation": _finalized,
+    "get_transfer": lambda w: w.p.get_transfer(_finalized(w)["agreement"]["agreement_id"]),
+    "request_audit": lambda w: w.a.request_audit(w.claim, w.passing, 2),
+    "get_revocations": lambda w: [w.a.revoke("att-9", "compromised"), w.a.get_revocations()],
+    "revoke": lambda w: w.a.revoke("att-9", "compromised"),
+}
+
+FAILURES = {
+    "unknown-session": (UnknownSession, lambda w: w.p.get_negotiation("no-such-session")),
+    "unknown-session-with-a-slash-and-a-space": (
+        UnknownSession, lambda w: w.p.finalize_negotiation("no/such session")),
+    "unknown-agreement": (NoSuchAgreement, lambda w: w.p.get_transfer("no-such-agreement")),
+    "second-finalize": (IllegalTransition,
+                        lambda w: w.p.finalize_negotiation(_finalized(w)["session_id"])),
+    "transfer-before-finalize": (
+        NotFinalized, lambda w: w.p.get_transfer(_negotiated(w)["agreement"]["agreement_id"])),
+}
+
+
+def _outcome(call, world):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return "returned", call(world)
+    except DataLoaError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted({**PROVIDER_ROUTES, **ASSURANCE_ROUTES}))
+def test_modes_return_equal_values_on_every_route(name, twin_worlds):
+    outcomes = [_outcome(SUCCESSES[name], world) for world in twin_worlds.values()]
+    assert outcomes[0][0] == "returned"
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_modes_raise_equal_errors(case, twin_worlds):
+    expected, call = FAILURES[case]
+    outcomes = [_outcome(call, world) for world in twin_worlds.values()]
+    assert outcomes[0][0] is expected
+    assert outcomes[0] == outcomes[1]
+
+
+def test_modes_return_equal_failed_audits(twin_worlds):
+    outcomes = [world.a.request_audit(world.claim, world.failing, 2)
+                for world in twin_worlds.values()]
+    assert outcomes[0]["passed"] is False
+    assert outcomes[0] == outcomes[1]
 
 
 # -- assurance over HTTP ----------------------------------------------------
@@ -452,6 +566,56 @@ def test_zero_content_length_keeps_the_connection(published):
         )
     assert statuses == [404, 200, 200]
     assert closed
+
+
+def _one_reply(base_url: str, request: bytes) -> tuple[int, dict, bytes]:
+    """Send hand-built request bytes on one connection; return the status,
+    the headers (names lowercased) and the body of the one reply, having
+    read to the end of the stream. The 2 s timeout turns a reply that
+    never comes into a test failure instead of a hang."""
+    host, port = base_url.rsplit("/", 1)[1].split(":")
+    with socket.create_connection((host, int(port)), timeout=2) as conn, \
+            conn.makefile("rb") as reply:
+        conn.sendall(request)
+        status_line = reply.readline()
+        assert status_line.startswith(b"HTTP/1.1 "), status_line
+        headers = {}
+        while (line := reply.readline()) not in (b"\r\n", b""):
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        return int(status_line.split()[1]), headers, reply.read()
+
+
+# Requests the stdlib would answer with no status line, with an HTML
+# page, or not at all; each takes exactly the bytes the server reads, so
+# that it closes a connection with nothing left unread.
+REFUSED_REQUESTS = {
+    "one-word-line": (b"22\r\n", 400, "bad_request"),
+    "no-version": (b"GET /catalog\r\n", 400, "bad_request"),
+    "http-2": (b"GET /catalog HTTP/2.0\r\nHost: x\r\n\r\n", 400, "bad_request"),
+    "unknown-method": (b"DELETE /catalog HTTP/1.1\r\nHost: x\r\n\r\n", 501, "not_implemented"),
+    "line-too-long": (b"GET /" + b"a" * 65532, 414, "request_uri_too_long"),
+    "header-too-long": (b"GET /catalog HTTP/1.1\r\nX: " + b"a" * 65534, 431,
+                        "request_header_fields_too_large"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_REQUESTS))
+def test_refused_request_gets_json_and_a_closed_connection(case, published):
+    request, status, error = REFUSED_REQUESTS[case]
+    with ProviderHTTPServer(published[0]) as server:
+        got_status, headers, body = _one_reply(server.base_url, request)
+        assert _call(server.base_url, "GET", "/catalog")[0] == 200
+    assert (got_status, headers["connection"]) == (status, "close")
+    assert headers["content-type"] == "application/json"
+    assert json.loads(body)["error"] == error
+
+
+def test_refused_head_request_gets_no_body(published):
+    with ProviderHTTPServer(published[0]) as server:
+        status, headers, body = _one_reply(server.base_url,
+                                           b"HEAD /catalog HTTP/1.1\r\nHost: x\r\n\r\n")
+    assert (status, headers["connection"], body) == (501, "close", b"")
 
 
 # -- transport stalls -------------------------------------------------------
