@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 from .envelope import KeyDirectory, KeyPair
-from .errors import InvalidClaimSignature, ManifestMismatch
+from .errors import InvalidClaimSignature, ManifestMismatch, decode
 from .model import (
     AssuranceLevel,
     Attestation,
@@ -89,14 +89,13 @@ class LevelRequirements:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "LevelRequirements":
-        return cls({
-            int(level): LevelRequirement(
-                required_kinds=frozenset(entry["required_kinds"]),
-                max_validity_seconds=entry["max_validity_seconds"],
-            )
-            for level, entry in data.items()
-        })
+    def from_dict(cls, data: Mapping, where: str = "level_requirements") -> "LevelRequirements":
+        """Requirements of the ``to_dict`` shape, ``where`` being the path
+        of ``data``: MalformedInput naming the field at fault for any other
+        shape, ValueError for levels that break the rules above."""
+        entry = {"required_kinds": [str], "max_validity_seconds": int}
+        levels = decode(data, {"2": entry, "3": entry}, where)
+        return cls({int(level): LevelRequirement(**fields) for level, fields in levels.items()})
 
 
 CLAIM_CAP_REASON = "claim-cap"

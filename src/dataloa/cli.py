@@ -36,7 +36,7 @@ from .envelope import (
     generate_keypair,
     save_key_files,
 )
-from .errors import DataLoaError
+from .errors import DataLoaError, MalformedInput
 from .model import (
     Attestation,
     EvidenceArtifact,
@@ -79,12 +79,12 @@ def _keys_from(keys_dir: str) -> KeyDirectory:
 
 
 def _read_record(cls, path: str):
-    """A ``cls`` record parsed from a JSON file; a file of the wrong
-    shape is a ValueError, reported like any other bad input."""
+    """A ``cls`` record parsed from a JSON file; a file that is not JSON,
+    or not of the record's shape, is MalformedInput."""
     try:
         return cls.from_dict(json.loads(Path(path).read_text()))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path} is not a {cls.__name__} record: {exc!r}") from None
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise MalformedInput(f"{path} is not a {cls.__name__} record: {exc!r}") from None
 
 
 def _emit(data: dict, as_json: bool, human_lines: list[str]) -> None:
@@ -103,16 +103,30 @@ def _write_json(path: Optional[str], data: dict) -> None:
         click.echo(text, nl=False)
 
 
-def _provider_transport(store: Optional[str], provider_url: Optional[str], keys, now):
+def _fetch(consumer_name: str, asset_id: Optional[str], store, provider_url, keys_dir, now):
+    """Fetch the catalog of the provider at ``provider_url`` or in
+    ``store`` as ``consumer_name``. Returns the consumer, the transport,
+    the file store (None over HTTP), the catalog and, when ``asset_id``
+    is given, its entry, a DataLoaError if the catalog does not list it."""
+    keys = _keys_from(keys_dir)
+    file_store = None
     if provider_url:
-        return HttpProviderTransport(provider_url), None
-    if store:
+        transport = HttpProviderTransport(provider_url)
+    elif store:
         file_store = FileProviderStore(store)
         if not file_store.exists():
             raise click.UsageError(f"no provider store at {store}")
-        provider = file_store.load(keys, clock=lambda: now)
-        return LocalProviderTransport(provider), file_store
-    raise click.UsageError("either --store or --provider-url is required")
+        transport = LocalProviderTransport(file_store.load(keys, clock=lambda: now))
+    else:
+        raise click.UsageError("either --store or --provider-url is required")
+    consumer = ConsumerConnector(
+        consumer_id=make_actor_id(consumer_name), keys=keys, clock=lambda: now
+    )
+    verified = consumer.fetch_catalog(transport)
+    vasset = None if asset_id is None else verified.get(asset_id)
+    if asset_id is not None and vasset is None:
+        raise DataLoaError(f"asset {asset_id} not in catalog")
+    return consumer, transport, file_store, verified, vasset
 
 
 keys_option = click.option(
@@ -431,13 +445,8 @@ def publish(store, payload_path, claim_path, attestation_paths, description,
 @_domain_errors
 def catalog(store, provider_url, keys_dir, now, as_json):
     """Fetch and verify a provider's catalog."""
-    now = _now_or_default(now)
-    keys = _keys_from(keys_dir)
-    transport, _ = _provider_transport(store, provider_url, keys, now)
-    viewer = ConsumerConnector(
-        consumer_id=make_actor_id("catalog-viewer"), keys=keys, clock=lambda: now
-    )
-    verified = viewer.fetch_catalog(transport)
+    _, _, _, verified, _ = _fetch("catalog-viewer", None, store, provider_url, keys_dir,
+                                  _now_or_default(now))
     _emit(
         {"provider_id": verified.provider_id,
          "assets": [v.to_dict() for v in verified.assets]},
@@ -471,16 +480,8 @@ def decide(asset_id, risk, store, provider_url, assurer_url, config_path,
            keys_dir, now, as_json):
     """Make a risk-based accept/reject decision about one asset."""
     now = _now_or_default(now)
-    keys = _keys_from(keys_dir)
     cfg = load_config(config_path)
-    transport, _ = _provider_transport(store, provider_url, keys, now)
-    viewer = ConsumerConnector(
-        consumer_id=make_actor_id("decision-maker"), keys=keys, clock=lambda: now
-    )
-    verified = viewer.fetch_catalog(transport)
-    vasset = verified.get(asset_id)
-    if vasset is None:
-        raise DataLoaError(f"asset {asset_id} not in catalog")
+    *_, vasset = _fetch("decision-maker", asset_id, store, provider_url, keys_dir, now)
     revoked = frozenset()
     if assurer_url:
         with HttpAssuranceTransport(assurer_url) as assurer:
@@ -509,16 +510,8 @@ def decide(asset_id, risk, store, provider_url, assurer_url, config_path,
 @_domain_errors
 def negotiate(asset_id, consumer_name, store, provider_url, keys_dir, now, as_json):
     """Negotiate a usage agreement for an asset (request, verify, finalize)."""
-    now = _now_or_default(now)
-    keys = _keys_from(keys_dir)
-    transport, file_store = _provider_transport(store, provider_url, keys, now)
-    connector = ConsumerConnector(
-        consumer_id=make_actor_id(consumer_name), keys=keys, clock=lambda: now
-    )
-    verified = connector.fetch_catalog(transport)
-    vasset = verified.get(asset_id)
-    if vasset is None:
-        raise DataLoaError(f"asset {asset_id} not in catalog")
+    connector, transport, file_store, _, vasset = _fetch(
+        consumer_name, asset_id, store, provider_url, keys_dir, _now_or_default(now))
     outcome = connector.negotiate(transport, vasset)
     if file_store is not None:
         file_store.save(transport.provider)
@@ -549,16 +542,8 @@ def negotiate(asset_id, consumer_name, store, provider_url, keys_dir, now, as_js
 @_domain_errors
 def transfer(asset_id, agreement_id, store, provider_url, out_path, keys_dir, now, as_json):
     """Transfer the payload under a finalized agreement, checking integrity."""
-    now = _now_or_default(now)
-    keys = _keys_from(keys_dir)
-    transport, _ = _provider_transport(store, provider_url, keys, now)
-    connector = ConsumerConnector(
-        consumer_id=make_actor_id("transfer-client"), keys=keys, clock=lambda: now
-    )
-    verified = connector.fetch_catalog(transport)
-    vasset = verified.get(asset_id)
-    if vasset is None:
-        raise DataLoaError(f"asset {asset_id} not in catalog")
+    connector, transport, _, _, vasset = _fetch(
+        "transfer-client", asset_id, store, provider_url, keys_dir, _now_or_default(now))
     payload = connector.transfer(transport, agreement_id, vasset.asset.claim.content_hash)
     if out_path:
         Path(out_path).write_bytes(payload)

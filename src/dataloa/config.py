@@ -3,7 +3,8 @@
 Configuration is a single JSON file. Resolution order: an explicit
 path, then the DATALOA_CONFIG environment variable, then built-in
 defaults. Both sections are optional; omitted sections fall back to
-defaults.
+defaults. Any other key, or a field of another type, is a ConfigError
+naming the field (see errors.decode).
 
 Example::
 
@@ -28,8 +29,9 @@ from pathlib import Path
 from typing import Optional
 
 from .assurance import LevelRequirements
-from .errors import ConfigError
-from .policy_engine import ConsumerPolicy
+from .errors import ConfigError, MalformedInput, decode
+from .model import AssuranceLevel
+from .policy_engine import RISK_ORDER, ConsumerPolicy
 
 ENV_VAR = "DATALOA_CONFIG"
 
@@ -64,21 +66,19 @@ def load_config(path: Optional[str] = None) -> DeploymentConfig:
         raise ConfigError(f"config file not found: {file_path}")
     try:
         data = json.loads(file_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {file_path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {file_path} must be a JSON object")
+    # A section's own ValueError (levels out of order) is a refusal too.
+    levels = {risk.value: AssuranceLevel.from_value for risk in RISK_ORDER}
     try:
-        policy = (
-            ConsumerPolicy(risk_to_min_level=data["risk_to_min_level"])
-            if "risk_to_min_level" in data
-            else ConsumerPolicy.default()
-        )
-        requirements = (
-            LevelRequirements.from_dict(data["level_requirements"])
-            if "level_requirements" in data
-            else LevelRequirements.default()
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config {file_path}: {exc}") from exc
-    return DeploymentConfig(consumer_policy=policy, requirements=requirements)
+        sections = decode(data, {
+            "risk_to_min_level": (
+                lambda section: ConsumerPolicy(decode(section, levels, "config.risk_to_min_level")),
+                ConsumerPolicy.default()),
+            "level_requirements": (
+                lambda section: LevelRequirements.from_dict(section, "config.level_requirements"),
+                LevelRequirements.default()),
+        }, "config")
+    except MalformedInput as exc:
+        raise ConfigError(f"invalid config {file_path}: {exc}") from None
+    return DeploymentConfig(sections["risk_to_min_level"], sections["level_requirements"])

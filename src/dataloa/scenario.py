@@ -20,13 +20,14 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .assurance import AssuranceService
 from .config import DeploymentConfig
 from .connector import (
     ConsumerConnector,
     NegotiationOutcome,
+    NegotiationState,
     Policy,
     ProviderConnector,
     VerifiedAsset,
@@ -36,11 +37,13 @@ from .envelope import KeyDirectory, content_hash, generate_keypair
 from .errors import (
     DataLoaError,
     IntegrityFailure,
+    MalformedInput,
     ScenarioParseError,
     StepFailure,
-    UnknownRiskClass,
+    decode,
 )
 from .model import (
+    DIMENSION_NAMES,
     ActorRole,
     Attestation,
     EvidenceArtifact,
@@ -70,71 +73,73 @@ class ScenarioActor:
 
 
 @dataclass(frozen=True)
-class ScenarioDataset:
-    dataset_id: str
-    payload_text: str
-    description: str
-    provider: str
-    policy: Policy
-    tampered_payload_text: Optional[str] = None
-
-    @property
-    def payload(self) -> bytes:
-        return self.payload_text.encode("utf-8")
-
-
-@dataclass(frozen=True)
-class ScenarioClaim:
-    ref: str
-    dataset: str
-    level: int
-    dimensions: Mapping[str, str]
-
-
-@dataclass(frozen=True)
-class ScenarioAudit:
-    claim_ref: str
-    requested_level: int
-    evidence: tuple[tuple[str, str], ...]  # (kind, content text)
-    expect_pass: Optional[bool] = None
-
-
-@dataclass(frozen=True)
-class ScenarioRevocation:
-    audit_index: int
-    reason: str
-
-
-@dataclass(frozen=True)
 class Scenario:
     name: str
     description: str
     start_time: int
     actors: tuple[ScenarioActor, ...]
-    datasets: tuple[ScenarioDataset, ...]
-    claims: tuple[ScenarioClaim, ...]
-    audits: tuple[ScenarioAudit, ...]
-    revocations: tuple[ScenarioRevocation, ...]
+    # Each entry a dict of the fields its spec below declares.
+    datasets: tuple[dict, ...]
+    claims: tuple[dict, ...]
+    audits: tuple[dict, ...]
+    revocations: tuple[dict, ...]
     actions: tuple[dict, ...]
 
     def actor_names(self, role: ActorRole) -> list[str]:
         return [a.name for a in self.actors if a.role is role]
 
 
-def parse_scenario(data: Mapping) -> Scenario:
-    """Validate a scenario document; dangling references are errors."""
-    try:
-        name = data["name"]
-        actors = tuple(
-            ScenarioActor(name=a["name"], role=ActorRole(str(a["role"]).upper()))
-            for a in data["actors"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioParseError(f"bad scenario header/actors: {exc}") from exc
+_ACTOR = {"name": str, "role": lambda role: ActorRole(str(role).upper())}
+_DATASET = {
+    "dataset_id": str,
+    "payload_text": str,
+    "description": (str, ""),
+    "provider": str,
+    "policy": (Policy.from_dict, default_policy()),
+    "tampered_payload_text": (str, None),
+}
+_CLAIM = {
+    "ref": str,
+    "dataset": str,
+    "level": {1, 2, 3},
+    "dimensions": ({name: (str, None) for name in sorted(DIMENSION_NAMES)}, {}),
+}
+_AUDIT = {
+    "claim": str,
+    "requested_level": {2, 3},
+    "evidence": ([{"kind": str, "content_text": str}], ()),
+    "expect_pass": (bool, None),
+}
+_SCENARIO = {
+    "name": str,
+    "description": (str, ""),
+    "start_time": (int, DEFAULT_START_TIME),
+    "actors": [_ACTOR],
+    "datasets": ([_DATASET], ()),
+    "claims": ([_CLAIM], ()),
+    "audits": ([_AUDIT], ()),
+    "revocations": ([{"audit_index": int, "reason": (str, "")}], ()),
+    "consumer_actions": ([dict], ()),  # each read by its kind's spec in ACTIONS
+}
 
-    actor_names = {a.name for a in actors}
-    if len(actor_names) != len(actors):
-        raise ScenarioParseError("duplicate actor names")
+
+def parse_scenario(data: Mapping) -> Scenario:
+    """Read a scenario document by its spec, then check its cross
+    references; any fault is a ScenarioParseError naming its field."""
+    try:
+        doc = decode(data, _SCENARIO, "scenario")
+        actions = []
+        for i, action in enumerate(doc["consumer_actions"]):
+            where, kind = f"scenario.consumer_actions[{i}]", action.get("action")
+            if not (isinstance(kind, str) and kind in ACTIONS):
+                raise MalformedInput(f"{where}: unknown action {kind!r}")
+            actions.append(decode(action, {"action": str, **ACTIONS[kind].spec}, where))
+        doc["consumer_actions"] = tuple(actions)
+    except MalformedInput as exc:
+        raise ScenarioParseError(str(exc)) from None
+
+    actors = doc["actors"] = tuple(ScenarioActor(**a) for a in doc["actors"])
+    _unique([a.name for a in actors], "actor names")
     providers = {a.name for a in actors if a.role is ActorRole.PROVIDER}
     consumers = {a.name for a in actors if a.role is ActorRole.CONSUMER}
     assurers = {a.name for a in actors if a.role is ActorRole.ASSURER}
@@ -145,139 +150,46 @@ def parse_scenario(data: Mapping) -> Scenario:
     if not consumers:
         raise ScenarioParseError("scenario requires at least one consumer actor")
 
-    datasets = []
-    try:
-        for d in data.get("datasets", []):
-            policy = (
-                Policy.from_dict(d["policy"]) if "policy" in d else default_policy()
-            )
-            datasets.append(
-                ScenarioDataset(
-                    dataset_id=d["dataset_id"],
-                    payload_text=d["payload_text"],
-                    description=d.get("description", ""),
-                    provider=d["provider"],
-                    policy=policy,
-                    tampered_payload_text=d.get("tampered_payload_text"),
-                )
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioParseError(f"bad dataset entry: {exc}") from exc
-    dataset_ids = {d.dataset_id for d in datasets}
-    if len(dataset_ids) != len(datasets):
-        raise ScenarioParseError("duplicate dataset ids")
-    for d in datasets:
-        if d.provider not in providers:
-            raise ScenarioParseError(
-                f"dataset {d.dataset_id} names unknown provider {d.provider!r}"
-            )
-
-    claims = []
-    try:
-        for c in data.get("claims", []):
-            claims.append(
-                ScenarioClaim(
-                    ref=c["ref"],
-                    dataset=c["dataset"],
-                    level=int(c["level"]),
-                    dimensions=dict(c.get("dimensions", {})),
-                )
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioParseError(f"bad claim entry: {exc}") from exc
-    claim_refs = {c.ref for c in claims}
-    if len(claim_refs) != len(claims):
-        raise ScenarioParseError("duplicate claim refs")
-    for c in claims:
-        if c.dataset not in dataset_ids:
-            raise ScenarioParseError(f"claim {c.ref} names unknown dataset {c.dataset!r}")
-
-    audits = []
-    try:
-        for a in data.get("audits", []):
-            audits.append(
-                ScenarioAudit(
-                    claim_ref=a["claim"],
-                    requested_level=int(a["requested_level"]),
-                    evidence=tuple(
-                        (e["kind"], e["content_text"]) for e in a.get("evidence", [])
-                    ),
-                    expect_pass=a.get("expect_pass"),
-                )
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioParseError(f"bad audit entry: {exc}") from exc
-    for a in audits:
-        if a.claim_ref not in claim_refs:
-            raise ScenarioParseError(f"audit names unknown claim {a.claim_ref!r}")
-
-    revocations = []
-    try:
-        for r in data.get("revocations", []):
-            revocations.append(
-                ScenarioRevocation(
-                    audit_index=int(r["audit_index"]), reason=r.get("reason", "")
-                )
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioParseError(f"bad revocation entry: {exc}") from exc
-    for r in revocations:
-        if not 0 <= r.audit_index < len(audits):
-            raise ScenarioParseError(f"revocation audit_index {r.audit_index} out of range")
-
-    actions = tuple(dict(a) for a in data.get("consumer_actions", []))
-    known_actions = {"fetch_catalog", "decide", "negotiate", "negotiate_parallel", "transfer"}
+    dataset_ids = _unique([d["dataset_id"] for d in doc["datasets"]], "dataset ids")
+    claim_refs = _unique([c["ref"] for c in doc["claims"]], "claim refs")
+    _known(doc, "datasets", "provider", providers)
+    _known(doc, "claims", "dataset", dataset_ids)
+    _known(doc, "audits", "claim", claim_refs)
+    _known(doc, "consumer_actions", "consumer", consumers)
+    _known(doc, "consumer_actions", "asset", dataset_ids)
+    for i, r in enumerate(doc["revocations"]):
+        if not 0 <= r["audit_index"] < len(doc["audits"]):
+            raise ScenarioParseError(f"scenario.revocations[{i}].audit_index: out of range")
     for i, action in enumerate(actions):
-        kind = action.get("action")
-        if kind not in known_actions:
-            raise ScenarioParseError(f"action {i}: unknown action {kind!r}")
-        if kind == "negotiate_parallel":
-            names = action.get("consumers", [])
-            if not names:
-                raise ScenarioParseError(f"action {i}: negotiate_parallel needs consumers")
-            unknown = [n for n in names if n not in consumers]
-        else:
-            name_ = action.get("consumer")
-            if not name_:
-                raise ScenarioParseError(f"action {i}: missing consumer")
-            unknown = [name_] if name_ not in consumers else []
+        where = f"scenario.consumer_actions[{i}].consumers"
+        if action.get("consumers") == ():
+            raise ScenarioParseError(f"{where}: negotiate_parallel needs consumers")
+        unknown = [n for n in action.get("consumers", ()) if n not in consumers]
         if unknown:
-            raise ScenarioParseError(f"action {i}: unknown consumer(s) {unknown}")
-        if kind in ("decide", "negotiate", "negotiate_parallel", "transfer"):
-            asset = action.get("asset")
-            if asset not in dataset_ids:
-                raise ScenarioParseError(f"action {i}: unknown asset {asset!r}")
-        if kind == "decide":
-            try:
-                RiskClass.from_value(action.get("risk", ""))
-            except UnknownRiskClass as exc:
-                raise ScenarioParseError(f"action {i}: {exc}") from exc
-            expected = action.get("expect_verdict")
-            if expected is not None and expected not in ("ACCEPT", "REJECT"):
-                raise ScenarioParseError(f"action {i}: bad expect_verdict {expected!r}")
-        if kind == "transfer":
-            expected = action.get("expect_integrity")
-            if expected is not None and expected not in ("OK", "FAILED"):
-                raise ScenarioParseError(f"action {i}: bad expect_integrity {expected!r}")
+            raise ScenarioParseError(f"{where}: unknown consumers {unknown}")
 
-    return Scenario(
-        name=name,
-        description=data.get("description", ""),
-        start_time=int(data.get("start_time", DEFAULT_START_TIME)),
-        actors=actors,
-        datasets=tuple(datasets),
-        claims=tuple(claims),
-        audits=tuple(audits),
-        revocations=tuple(revocations),
-        actions=actions,
-    )
+    return Scenario(actions=doc.pop("consumer_actions"), **doc)
+
+
+def _unique(names: list[str], what: str) -> set[str]:
+    if len(set(names)) != len(names):
+        raise ScenarioParseError(f"duplicate {what}")
+    return set(names)
+
+
+def _known(doc: dict, section: str, field: str, known: set[str]) -> None:
+    """Each entry of ``doc[section]`` with a ``field`` names one in ``known``."""
+    for i, entry in enumerate(doc[section]):
+        if field in entry and entry[field] not in known:
+            raise ScenarioParseError(
+                f"scenario.{section}[{i}].{field}: unknown {field} {entry[field]!r}")
 
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ScenarioParseError(f"cannot read scenario {path}: {exc}") from exc
     return parse_scenario(data)
 
@@ -455,50 +367,51 @@ class ScenarioRunner:
             self.assurance_transport = LocalAssuranceTransport(self.assurer)
             self._provider_transport_factory = lambda: transport
 
-        datasets = {d.dataset_id: d for d in scenario.datasets}
+        datasets = {d["dataset_id"]: d for d in scenario.datasets}
         for entry in scenario.claims:
-            dataset = datasets[entry.dataset]
+            dataset = datasets[entry["dataset"]]
             claim = create_claim(
-                dataset_id=dataset.dataset_id,
-                payload_hash=content_hash(dataset.payload),
-                level=entry.level,
-                dimensions=entry.dimensions,
-                provider_key=self.keys.signer_for(make_actor_id(dataset.provider)),
+                dataset_id=dataset["dataset_id"],
+                payload_hash=content_hash(dataset["payload_text"].encode("utf-8")),
+                level=entry["level"],
+                dimensions={k: v for k, v in entry["dimensions"].items() if v is not None},
+                provider_key=self.keys.signer_for(make_actor_id(dataset["provider"])),
                 issued_at=self.now,
             )
-            self._claims[entry.ref] = claim
-            self._attestations[entry.ref] = []
+            self._claims[entry["ref"]] = claim
+            self._attestations[entry["ref"]] = []
             report.setup.append(
                 {
                     "event": "claim_created",
-                    "ref": entry.ref,
+                    "ref": entry["ref"],
                     "claim_id": claim.claim_id,
-                    "dataset_id": dataset.dataset_id,
+                    "dataset_id": dataset["dataset_id"],
                     "level_claimed": int(claim.level_claimed),
                 }
             )
 
         for index, entry in enumerate(scenario.audits):
-            claim = self._claims[entry.claim_ref]
+            claim = self._claims[entry["claim"]]
             artifacts = tuple(
-                EvidenceArtifact(kind=kind, content_hash=content_hash(text.encode("utf-8")))
-                for kind, text in entry.evidence
+                EvidenceArtifact(kind=e["kind"],
+                                 content_hash=content_hash(e["content_text"].encode("utf-8")))
+                for e in entry["evidence"]
             )
             manifest = build_manifest(
                 claim_id=claim.claim_id, artifacts=artifacts, created_at=self.now
             )
             response = self.assurance_transport.request_audit(
-                claim.to_dict(), manifest.to_dict(), entry.requested_level
+                claim.to_dict(), manifest.to_dict(), entry["requested_level"]
             )
             record = {
                 "event": "audit",
-                "claim_ref": entry.claim_ref,
-                "requested_level": entry.requested_level,
+                "claim_ref": entry["claim"],
+                "requested_level": entry["requested_level"],
                 "passed": response["passed"],
             }
             if response["passed"]:
                 attestation = Attestation.from_dict(response["attestation"])
-                self._attestations[entry.claim_ref].append(attestation)
+                self._attestations[entry["claim"]].append(attestation)
                 self._attestation_by_audit[index] = attestation
                 record["attestation_id"] = attestation.attestation_id
                 record["level_assured"] = int(attestation.level_assured)
@@ -506,43 +419,39 @@ class ScenarioRunner:
                 record["missing_kinds"] = list(response["missing_kinds"])
                 record["reason"] = response["reason"]
             report.setup.append(record)
-            if entry.expect_pass is not None and response["passed"] != entry.expect_pass:
-                report.expectation_failures.append(
-                    f"audit of {entry.claim_ref} expected "
-                    f"{'PASS' if entry.expect_pass else 'FAIL'}, got "
-                    f"{'PASS' if response['passed'] else 'FAIL'}"
-                )
+            _expect(report, f"audit of {entry['claim']}", _PASS.get(entry["expect_pass"]),
+                    _PASS[response["passed"]])
 
         for entry in scenario.revocations:
-            attestation = self._attestation_by_audit.get(entry.audit_index)
+            attestation = self._attestation_by_audit.get(entry["audit_index"])
             if attestation is None:
                 report.expectation_failures.append(
-                    f"revocation references audit {entry.audit_index}, which issued nothing"
+                    f"revocation references audit {entry['audit_index']}, which issued nothing"
                 )
                 continue
-            self.assurance_transport.revoke(attestation.attestation_id, entry.reason)
+            self.assurance_transport.revoke(attestation.attestation_id, entry["reason"])
             report.setup.append(
                 {
                     "event": "revoked",
                     "attestation_id": attestation.attestation_id,
-                    "reason": entry.reason,
+                    "reason": entry["reason"],
                 }
             )
 
         claims_by_dataset: dict[str, list[str]] = {}
         for entry in scenario.claims:
-            claims_by_dataset.setdefault(entry.dataset, []).append(entry.ref)
+            claims_by_dataset.setdefault(entry["dataset"], []).append(entry["ref"])
         for dataset in scenario.datasets:
-            refs = claims_by_dataset.get(dataset.dataset_id, [])
+            refs = claims_by_dataset.get(dataset["dataset_id"], [])
             if not refs:
                 continue  # a dataset with no claim cannot be published
             ref = refs[0]
             claim = self._claims[ref]
             attached = tuple(self._attestations[ref])
             asset = self.provider.publish(
-                payload=dataset.payload,
-                description=dataset.description,
-                policy=dataset.policy,
+                payload=dataset["payload_text"].encode("utf-8"),
+                description=dataset["description"],
+                policy=dataset["policy"],
                 claim=claim,
                 attestations=attached,
             )
@@ -553,10 +462,10 @@ class ScenarioRunner:
                     "attached_attestations": len(attached),
                 }
             )
-            if dataset.tampered_payload_text is not None:
+            if dataset["tampered_payload_text"] is not None:
                 self.provider.data_source.store(
                     asset.payload_locator,
-                    dataset.tampered_payload_text.encode("utf-8"),
+                    dataset["tampered_payload_text"].encode("utf-8"),
                 )
                 report.setup.append(
                     {"event": "payload_tampered", "asset_id": asset.asset_id}
@@ -574,7 +483,7 @@ class ScenarioRunner:
             raise StepFailure(f"{consumer} has not fetched a catalog listing {asset_id}")
         return vasset
 
-    def _do_fetch_catalog(self, action: dict) -> dict:
+    def _do_fetch_catalog(self, action: dict, report: RunReport) -> dict:
         consumer = action["consumer"]
         catalog = self.consumers[consumer].fetch_catalog(self.provider_transport)
         for vasset in catalog.assets:
@@ -588,7 +497,7 @@ class ScenarioRunner:
     def _do_decide(self, action: dict, report: RunReport) -> dict:
         consumer = action["consumer"]
         asset_id = action["asset"]
-        risk = RiskClass.from_value(action["risk"])
+        risk = action["risk"]
         vasset = self._verified_asset(consumer, asset_id)
         decision = decide(
             vasset,
@@ -607,14 +516,8 @@ class ScenarioRunner:
             "effective_level": int(decision.effective),
             "reasons": list(decision.reasons),
         }
-        expected = action.get("expect_verdict")
-        if expected is not None:
-            entry["expected_verdict"] = expected
-            if decision.verdict.value != expected:
-                report.expectation_failures.append(
-                    f"decide {consumer}/{asset_id}@{risk.value}: expected {expected}, "
-                    f"got {decision.verdict.value}"
-                )
+        _expect(report, f"decide {consumer}/{asset_id}@{risk.value}", action["expect_verdict"],
+                decision.verdict.value, entry, "expected_verdict")
         return entry
 
     def _do_negotiate(self, action: dict, report: RunReport) -> dict:
@@ -639,14 +542,8 @@ class ScenarioRunner:
             "agreement_id": outcome.agreement_id,
             "refusal_reason": outcome.refusal_reason,
         }
-        expected = action.get("expect_state")
-        if expected is not None:
-            entry["expected_state"] = expected
-            if outcome.session.state.value != expected:
-                report.expectation_failures.append(
-                    f"negotiate {consumer}/{asset_id}: expected state {expected}, "
-                    f"got {outcome.session.state.value}"
-                )
+        _expect(report, f"negotiate {consumer}/{asset_id} state", action["expect_state"],
+                outcome.session.state.value, entry, "expected_state")
         return entry
 
     def _do_negotiate_parallel(self, action: dict, report: RunReport) -> dict:
@@ -691,10 +588,8 @@ class ScenarioRunner:
                 )
         outcomes = [results[n] for n in sorted(results)]
         all_finalized = bool(outcomes) and all(o["finalized"] for o in outcomes)
-        if action.get("expect_all_finalized") and not all_finalized:
-            report.expectation_failures.append(
-                f"negotiate_parallel on {asset_id}: not all sessions finalized"
-            )
+        _expect(report, f"negotiate_parallel on {asset_id} all_finalized",
+                action["expect_all_finalized"], all_finalized)
         return {
             "asset": asset_id,
             "consumers": sorted(names),
@@ -726,14 +621,8 @@ class ScenarioRunner:
         except IntegrityFailure as exc:
             entry["integrity"] = "FAILED"
             entry["detail"] = str(exc)
-        expected = action.get("expect_integrity")
-        if expected is not None:
-            entry["expected_integrity"] = expected
-            if entry["integrity"] != expected:
-                report.expectation_failures.append(
-                    f"transfer {consumer}/{asset_id}: expected integrity {expected}, "
-                    f"got {entry['integrity']}"
-                )
+        _expect(report, f"transfer {consumer}/{asset_id} integrity", action["expect_integrity"],
+                entry["integrity"], entry, "expected_integrity")
         return entry
 
     def run(self) -> RunReport:
@@ -747,16 +636,7 @@ class ScenarioRunner:
                 kind = action["action"]
                 step_started = time.perf_counter()
                 try:
-                    if kind == "fetch_catalog":
-                        entry = self._do_fetch_catalog(action)
-                    elif kind == "decide":
-                        entry = self._do_decide(action, report)
-                    elif kind == "negotiate":
-                        entry = self._do_negotiate(action, report)
-                    elif kind == "negotiate_parallel":
-                        entry = self._do_negotiate_parallel(action, report)
-                    else:
-                        entry = self._do_transfer(action, report)
+                    entry = ACTIONS[kind].handler(self, action, report)
                 except DataLoaError as exc:
                     entry = {"error": str(exc)}
                     report.expectation_failures.append(f"step {index} ({kind}): {exc}")
@@ -772,6 +652,45 @@ class ScenarioRunner:
             self._resources.close()
         report.elapsed_ms = (time.perf_counter() - started) * 1000
         return report
+
+
+class _Action(NamedTuple):
+    spec: dict  # the fields of an action of this kind, besides "action"
+    handler: Callable[[ScenarioRunner, dict, RunReport], dict]  # the step's report entry
+
+
+# The parser reads each consumer action by its kind's spec; the runner
+# runs the kind's handler.
+_CONSUMER_ASSET = {"consumer": str, "asset": str}
+ACTIONS: dict[str, _Action] = {
+    "fetch_catalog": _Action({"consumer": str}, ScenarioRunner._do_fetch_catalog),
+    "decide": _Action(
+        {**_CONSUMER_ASSET, "risk": lambda risk: RiskClass(str(risk).upper()),
+         "expect_verdict": ({v.value for v in Verdict}, None)},
+        ScenarioRunner._do_decide),
+    "negotiate": _Action(
+        {**_CONSUMER_ASSET, "expect_state": ({s.value for s in NegotiationState}, None)},
+        ScenarioRunner._do_negotiate),
+    "negotiate_parallel": _Action(
+        {"consumers": [str], "asset": str, "expect_all_finalized": (bool, None)},
+        ScenarioRunner._do_negotiate_parallel),
+    "transfer": _Action(
+        {**_CONSUMER_ASSET, "expect_integrity": ({"OK", "FAILED"}, None)}, ScenarioRunner._do_transfer),
+}
+
+_PASS = {True: "PASS", False: "FAIL"}
+
+
+def _expect(report: RunReport, what: str, expected, got,
+            entry: Optional[dict] = None, key: str = "") -> None:
+    """Check one ``expect_*`` of the scenario, None expecting nothing: an
+    unmet one is an expectation failure; ``entry[key]`` records it."""
+    if expected is None:
+        return
+    if entry is not None:
+        entry[key] = expected
+    if got != expected:
+        report.expectation_failures.append(f"{what}: expected {expected}, got {got}")
 
 
 def run_scenario(

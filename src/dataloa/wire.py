@@ -6,11 +6,11 @@ calls it. Everything else reads the tables:
 
 * the servers: one dispatcher matches a request's method and path
   against the table, reads or refuses its body, makes the entry's call
-  and encodes the result, or the domain error with its errors.WIRE_CODES
-  code and status;
-* local (in-process) transports: make the entry's call directly, so
-  they get the same dicts, and the catalog's body bytes, that the
-  server sends, and the consumer code path is the same in both modes;
+  (_serve) and encodes the result, or the domain error with its
+  errors.WIRE_CODES code and status;
+* local (in-process) transports: make the entry's call (_serve) too, so
+  they get the same dicts, catalog bytes and errors that the server
+  sends, and the consumer code path is the same in both modes;
 * HTTP clients: one keep-alive connection per transport, one round trip
   per call, the reply decoded to what the in-process call returns, or
   the error it names raised again.
@@ -38,7 +38,9 @@ from .connector import ProviderConnector
 from .errors import (
     DataLoaError,
     MalformedCatalog,
+    MalformedInput,
     Unreachable,
+    decode,
     error_for_wire_code,
     wire_code_for,
 )
@@ -52,12 +54,13 @@ AUDIT_FAILED = 422  # the status of an audit outcome that did not pass
 
 class _Route(NamedTuple):
     """One endpoint. ``call(actor, ident, body)`` gets the path's ``{}``
-    segment and the request's JSON object, and returns a dict (sent as
-    JSON), bytes, a ``(payload, declared hash)`` pair or None (no body)."""
+    segment and the request's JSON object as ``body`` decodes it, and
+    returns a dict (sent as JSON), bytes, a ``(payload, declared hash)``
+    pair or None (no body)."""
 
     method: str
     path: str  # "{}" stands for one id segment
-    reads_body: bool
+    body: Optional[dict]  # the body's errors.decode spec; None: the route reads no body
     status: int
     content_type: Optional[str]
     call: Callable[[Any, Optional[str], Optional[dict]], Any]
@@ -68,37 +71,53 @@ class _Route(NamedTuple):
 # called.
 PROVIDER_ROUTES: dict[str, _Route] = {
     "get_catalog": _Route(
-        "GET", "/catalog", False, 200, CATALOG_CONTENT_TYPE,
+        "GET", "/catalog", None, 200, CATALOG_CONTENT_TYPE,
         lambda provider, _, __: provider.catalog().public_lines()),
     "request_negotiation": _Route(
-        "POST", "/negotiations", True, 201, JSON_CONTENT_TYPE,
+        "POST", "/negotiations",
+        {"asset_id": str, "consumer_id": str, "policy_hash": str, "claim_hash": str},
+        201, JSON_CONTENT_TYPE,
         lambda provider, _, body: provider.handle_negotiation_request(
             body["asset_id"], body["consumer_id"], body["policy_hash"], body["claim_hash"]
         ).to_dict()),
     "get_negotiation": _Route(
-        "GET", "/negotiations/{}", False, 200, JSON_CONTENT_TYPE,
+        "GET", "/negotiations/{}", None, 200, JSON_CONTENT_TYPE,
         lambda provider, session_id, _: provider.get_session(session_id).to_dict()),
     "finalize_negotiation": _Route(
-        "POST", "/negotiations/{}/finalize", False, 200, JSON_CONTENT_TYPE,
+        "POST", "/negotiations/{}/finalize", None, 200, JSON_CONTENT_TYPE,
         lambda provider, session_id, _: provider.finalize(session_id).to_dict()),
     "get_transfer": _Route(
-        "GET", "/transfers/{}", False, 200, PAYLOAD_CONTENT_TYPE,
+        "GET", "/transfers/{}", None, 200, PAYLOAD_CONTENT_TYPE,
         lambda provider, agreement_id, _: provider.transfer(agreement_id)),
 }
 
 ASSURANCE_ROUTES: dict[str, _Route] = {
     "request_audit": _Route(
-        "POST", "/audits", True, 200, JSON_CONTENT_TYPE,
+        "POST", "/audits", {"claim": dict, "manifest": dict, "requested_level": int},
+        200, JSON_CONTENT_TYPE,
         lambda service, _, body: service.handle_audit(
             body["claim"], body["manifest"], body["requested_level"]
         ).to_dict()),
     "get_revocations": _Route(
-        "GET", "/revocations", False, 200, JSON_CONTENT_TYPE,
+        "GET", "/revocations", None, 200, JSON_CONTENT_TYPE,
         lambda service, _, __: {"revocations": service.revocations.to_list()}),
     "revoke": _Route(
-        "POST", "/revocations", True, 204, None,
-        lambda service, _, body: service.revoke(body["attestation_id"], body.get("reason", ""))),
+        "POST", "/revocations", {"attestation_id": str, "reason": (str, "")}, 204, None,
+        lambda service, _, body: service.revoke(body["attestation_id"], body["reason"])),
 }
+
+
+def _serve(route: _Route, actor, ident: Optional[str], body: Optional[dict]):
+    """Make ``route``'s call on ``actor``, the one call path of both
+    modes: the body read by the route's spec, and a KeyError, TypeError
+    or ValueError from the call raised as MalformedInput, so a malformed
+    argument gives the same error in process and over HTTP."""
+    try:
+        if route.body is not None:
+            body = decode(body, route.body, "body")
+        return route.call(actor, ident, body)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedInput(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +184,7 @@ class LocalProviderTransport(_ProviderCalls):
         self.provider = provider
 
     def _call(self, name: str, ident: Optional[str] = None, body: Optional[dict] = None):
-        return self._routes[name].call(self.provider, ident, body)
+        return _serve(self._routes[name], self.provider, ident, body)
 
 
 class LocalAssuranceTransport(_AssuranceCalls):
@@ -177,7 +196,7 @@ class LocalAssuranceTransport(_AssuranceCalls):
         self.service = service
 
     def _call(self, name: str, ident: Optional[str] = None, body: Optional[dict] = None):
-        return self._routes[name].call(self.service, ident, body)
+        return _serve(self._routes[name], self.service, ident, body)
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +204,14 @@ class LocalAssuranceTransport(_AssuranceCalls):
 # ---------------------------------------------------------------------------
 
 
-class _BadRequest(ValueError):
-    """A request whose headers or body cannot be parsed."""
-
-
 _HTTP_1X = re.compile(rb"HTTP/1\.[0-9]")
 
 
 def _patterns(routes: dict[str, _Route]) -> list[tuple[re.Pattern, _Route]]:
     """Each route with its path as a pattern, ``{}`` matching exactly one
-    non-empty segment."""
-    return [(re.compile(re.escape(route.path).replace(r"\{\}", "([^/]+)")), route)
+    segment, an empty one too: an empty id reaches its route, which
+    answers as it does in process."""
+    return [(re.compile(re.escape(route.path).replace(r"\{\}", "([^/]*)")), route)
             for route in routes.values()]
 
 
@@ -246,36 +262,37 @@ class _QuietHandler(BaseHTTPRequestHandler):
                 self._refuse_body()
                 self._send_json(404, {"error": "not_found", "message": self.path})
                 return
-            body = self._read_json() if route.reads_body else self._refuse_body()
+            body = self._refuse_body() if route.body is None else self._read_json()
             ident = urllib.parse.unquote(match.group(1)) if pattern.groups else None
-            self._send_result(route, route.call(self.server.actor, ident, body))
+            self._send_result(route, _serve(route, self.server.actor, ident, body))
+        except MalformedInput as exc:  # may leave a body unread: the 400 closes
+            self.send_error(400, str(exc))
         except DataLoaError as exc:
             code, status = wire_code_for(exc)
             self._send_json(status, {"error": code, "message": str(exc)})
-        except (KeyError, TypeError, ValueError) as exc:  # _BadRequest is a ValueError
-            self.send_error(400, str(exc))
 
     do_POST = do_GET
 
     def _body_length(self) -> int:
-        """The declared body length; _BadRequest for any framing but one
+        """The declared body length; MalformedInput for any framing but one
         Content-Length, so no body is left on the stream to be parsed as
         the next request (RFC 9112 section 6)."""
         if "Transfer-Encoding" in self.headers:
-            raise _BadRequest("Transfer-Encoding is not accepted")
+            raise MalformedInput("Transfer-Encoding is not accepted")
         values = self.headers.get_all("Content-Length", ["0"])
         length = values[0].strip()
         if any(v.strip() != length for v in values) or not (length.isascii() and length.isdigit()):
-            raise _BadRequest(f"invalid Content-Length {', '.join(values)!r}")
+            raise MalformedInput(f"invalid Content-Length {', '.join(values)!r}")
         return int(length)
 
     def _refuse_body(self) -> None:
-        """For a route that reads no body: _BadRequest if one is sent."""
+        """For a route that reads no body: MalformedInput if one is sent."""
         if self._body_length():
-            raise _BadRequest(f"{self.command} {self.path} takes no body")
+            raise MalformedInput(f"{self.command} {self.path} takes no body")
 
-    def _read_json(self) -> dict:
-        """The request body as a JSON object; _BadRequest otherwise.
+    def _read_json(self):
+        """The request body as a JSON value, which _serve reads by the
+        route's spec; MalformedInput if it is not UTF-8 JSON.
 
         With _refuse_body, the only paths by which a handler meets a
         body, so a malformed length, encoding or shape always gets a 400
@@ -285,13 +302,10 @@ class _QuietHandler(BaseHTTPRequestHandler):
         length = self._body_length()
         body = self.rfile.read(length) if length else b"{}"
         try:
-            data = json.loads(body.decode("utf-8"))
+            return json.loads(body.decode("utf-8"))
         # UnicodeDecodeError, JSONDecodeError, or nesting too deep to decode
         except (ValueError, RecursionError) as exc:
-            raise _BadRequest(f"body is not UTF-8 JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise _BadRequest(f"body must be a JSON object, not {type(data).__name__}")
-        return data
+            raise MalformedInput(f"body is not UTF-8 JSON: {exc}") from None
 
     def _send_result(self, route: _Route, result) -> None:
         if isinstance(result, dict):
@@ -498,7 +512,10 @@ class _HttpClient:
         url = f"{self.base_url}{path}"
         headers = dict(self._session.headers)
         if body is not None:
-            body = json.dumps(body).encode("utf-8")
+            try:
+                body = json.dumps(body).encode("utf-8")
+            except (TypeError, ValueError, RecursionError) as exc:  # no JSON form
+                raise MalformedInput(f"body: {exc}") from None
             headers["Content-Type"] = JSON_CONTENT_TYPE
         with self._lock:
             conn = self._conn

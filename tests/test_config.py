@@ -92,3 +92,34 @@ def test_custom_level_requirements(tmp_path):
     assert config.requirements.for_level(2).max_validity_seconds == 3600
     assert config.requirements.for_level(3).required_kinds == \
         frozenset({"quality-report", "security-assessment"})
+
+
+def _requirements(**level_2) -> dict:
+    return {"level_requirements": {
+        "2": {"required_kinds": ["quality-report"], "max_validity_seconds": 3600, **level_2},
+        "3": {"required_kinds": ["quality-report"], "max_validity_seconds": 1800},
+    }}
+
+
+@pytest.mark.parametrize("data, where", [
+    (_requirements(required_kinds="quality-report"),
+     "config.level_requirements.2.required_kinds: expected a list"),
+    (_requirements(max_validity_seconds=10.5),
+     "config.level_requirements.2.max_validity_seconds: expected an integer"),
+    (_requirements(max_validity_seconds=True),
+     "config.level_requirements.2.max_validity_seconds: expected an integer"),
+    ({"risk_to_min_levels": {"LOW": 2, "MEDIUM": 2, "HIGH": 3, "CRITICAL": 3}},
+     "config: unknown field 'risk_to_min_levels'"),
+    ({"risk_to_min_level": {"LOW": 1, "MEDIUM": 2, "HIGH": 3, "CRITICAL": 3, "EXTREME": 3}},
+     "config.risk_to_min_level: unknown field 'EXTREME'"),
+], ids=["kinds-as-a-string", "lifetime-10.5", "lifetime-true", "misspelt-section",
+        "unknown-risk-class"])
+def test_malformed_field_is_refused_by_its_path(tmp_path, data, where):
+    """Each was read some other way at the parent: a string as a set of
+    characters, 10.5 and true as lifetimes, a misspelt section as no
+    section at all, an unknown risk class as an UnknownRiskClass."""
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(str(path))
+    assert where in str(excinfo.value)

@@ -99,6 +99,77 @@ def test_parse_rejects_broken_documents(mutate, hint):
     assert hint.split()[0].lower() in str(excinfo.value).lower()
 
 
+def _bundled(name: str) -> dict:
+    return json.loads(bundled_scenarios()[name].read_text())
+
+
+def _set(path: tuple, value):
+    """A mutation of a scenario document: the field at ``path`` set to ``value``."""
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+# One-field changes to a bundled scenario, each refused at parse time
+# with the path of the field at fault. At the parent each one ran, or
+# failed at run time, or was refused under another name.
+ONE_FIELD_CHANGES = {
+    "payload-not-text": (_set(("datasets", 0, "payload_text"), 5), "datasets[0].payload_text"),
+    "evidence-not-text": (_set(("audits", 0, "evidence", 0, "content_text"), 5),
+                          "audits[0].evidence[0].content_text"),
+    "action-not-an-object": (_set(("consumer_actions", 1), 5), "consumer_actions[1]"),
+    "start-time-not-an-integer": (_set(("start_time",), "abc"), "start_time"),
+    "unknown-dimension": (_set(("claims", 0, "dimensions", "colour"), "blue"),
+                          "claims[0].dimensions: unknown field 'colour'"),
+    "level-0": (_set(("claims", 0, "level"), 0), "claims[0].level"),
+    "level-7": (_set(("claims", 0, "level"), 7), "claims[0].level"),
+    "requested-level-5": (_set(("audits", 0, "requested_level"), 5), "audits[0].requested_level"),
+    "lone-surrogate": (_set(("datasets", 0, "payload_text"), "wells \ud800"),
+                       "datasets[0].payload_text: holds a lone surrogate"),
+    "level-2.9": (_set(("claims", 0, "level"), 2.9), "claims[0].level"),
+    "requested-level-2.5": (_set(("audits", 0, "requested_level"), 2.5),
+                            "audits[0].requested_level"),
+    "level-true": (_set(("claims", 0, "level"), True), "claims[0].level"),
+    "name-not-text": (_set(("name",), 5), "scenario.name"),
+    "misspelt-key": (_set(("claims", 0, "levle"), 2), "claims[0]: unknown field 'levle'"),
+    "expect-pass-not-a-boolean": (_set(("audits", 0, "expect_pass"), "yes"),
+                                  "audits[0].expect_pass"),
+    "unknown-expected-state": (_set(("consumer_actions", 4, "expect_state"), "BOGUS"),
+                               "consumer_actions[4].expect_state"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_FIELD_CHANGES))
+def test_one_field_change_is_refused_at_parse_time(case):
+    mutate, where = ONE_FIELD_CHANGES[case]
+    doc = _bundled("poc_audited")
+    parse_scenario(doc)
+    mutate(doc)
+    with pytest.raises(ScenarioParseError) as excinfo:
+        parse_scenario(doc)
+    assert where in str(excinfo.value)
+
+
+def test_consumers_given_as_one_string_are_refused():
+    """Read as a list, the string would name one consumer per character."""
+    doc = _bundled("concurrent_negotiations")
+    _set(("consumer_actions", 2, "consumers"), "metro-water")(doc)
+    with pytest.raises(ScenarioParseError, match=r"consumer_actions\[2\]\.consumers: expected a list"):
+        parse_scenario(doc)
+
+
+def test_expect_all_finalized_false_is_checked(tmp_path):
+    """``false`` is an expectation too: every session finalizing fails it."""
+    doc = _bundled("concurrent_negotiations")
+    doc["consumer_actions"][2]["expect_all_finalized"] = False
+    report = _run(doc, tmp_path)
+    assert report.expectation_failures == [
+        "negotiate_parallel on groundwater-2026 all_finalized: expected False, got True"]
+
+
 def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(ScenarioParseError):
         load_scenario(tmp_path / "absent.json")

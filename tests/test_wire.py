@@ -22,6 +22,7 @@ from dataloa.errors import (
     DataLoaError,
     IllegalTransition,
     MalformedCatalog,
+    MalformedInput,
     NoSuchAgreement,
     NotFinalized,
     UnknownSession,
@@ -283,6 +284,17 @@ FAILURES = {
                         lambda w: w.p.finalize_negotiation(_finalized(w)["session_id"])),
     "transfer-before-finalize": (
         NotFinalized, lambda w: w.p.get_transfer(_negotiated(w)["agreement"]["agreement_id"])),
+    # An empty id reaches its route over HTTP too.
+    "empty-session-get": (UnknownSession, lambda w: w.p.get_negotiation("")),
+    "empty-session-finalize": (UnknownSession, lambda w: w.p.finalize_negotiation("")),
+    "empty-agreement": (NoSuchAgreement, lambda w: w.p.get_transfer("")),
+    # A malformed argument is MalformedInput, read by the route's spec or
+    # raised by the call.
+    "revoke-int-id": (MalformedInput, lambda w: w.a.revoke(5, "x")),
+    "audit-empty-records": (MalformedInput, lambda w: w.a.request_audit({}, {}, 2)),
+    "audit-level-5": (MalformedInput, lambda w: w.a.request_audit(w.claim, w.passing, 5)),
+    "negotiate-int-asset": (
+        MalformedInput, lambda w: w.p.request_negotiation(5, CONSUMER_ID, *_hashes(w.asset))),
 }
 
 
@@ -307,6 +319,18 @@ def test_modes_raise_equal_errors(case, twin_worlds):
     outcomes = [_outcome(call, world) for world in twin_worlds.values()]
     assert outcomes[0][0] is expected
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("call", [
+    lambda w: w.a.revoke({"att-9"}, "compromised"),
+    lambda w: w.p.request_negotiation(b"wells-1", CONSUMER_ID, "0" * 64, "0" * 64),
+], ids=["set-id", "bytes-id"])
+def test_argument_with_no_json_form_is_malformed_input_in_both_modes(call, twin_worlds):
+    """Over HTTP the client cannot encode it; in process the route's
+    spec refuses it."""
+    for world in twin_worlds.values():
+        with pytest.raises(MalformedInput):
+            call(world)
 
 
 def test_modes_return_equal_failed_audits(twin_worlds):
