@@ -38,7 +38,7 @@ from .errors import (
     NotFinalized,
     UnknownSession,
 )
-from .model import Agreement, AssuranceLevel, Attestation, TrustClaim, _check_str, effective_level
+from .model import Agreement, Attestation, TrustClaim, _check_str
 
 PERMITTED_ACTIONS = frozenset({"use", "distribute"})
 
@@ -490,14 +490,6 @@ class VerifiedAsset:
     def flagged(self) -> bool:
         return not self.claim_valid or bool(self.problems)
 
-    def effective(self, revoked, now: int) -> AssuranceLevel:
-        return effective_level(
-            self.asset.claim if self.claim_valid else None,
-            self.valid_attestations,
-            revoked,
-            now,
-        )
-
     def to_dict(self) -> dict:
         return {
             "asset": self.asset.to_dict(),
@@ -650,7 +642,8 @@ class ConsumerConnector:
     def negotiate(self, transport, vasset: VerifiedAsset) -> NegotiationOutcome:
         """Run the full happy-path negotiation: request, verify the
         returned agreement, finalize. Refuses to finalize (and says
-        why) when the agreement does not verify."""
+        why) when the agreement does not verify, and reports no
+        finalize whose answer is not the verified session, finalized."""
         asset = vasset.asset
         policy_hash = asset.usage_policy.canonical_hash()
         claim_hash = asset.claim.canonical_hash()
@@ -667,9 +660,11 @@ class ConsumerConnector:
         if refusal is not None:
             return NegotiationOutcome(session=session, finalized=False, refusal_reason=refusal)
         final = _session_of(transport.finalize_negotiation(session.session_id))
-        return NegotiationOutcome(
-            session=final, finalized=final.state is NegotiationState.FINALIZED
-        )
+        if final != replace(session, state=NegotiationState.FINALIZED):
+            return NegotiationOutcome(
+                session=session, finalized=False, refusal_reason="finalize-session-mismatch"
+            )
+        return NegotiationOutcome(session=final, finalized=True)
 
     def _check_agreement(
         self,

@@ -117,40 +117,15 @@ def derived_id(kind: str, payload: Any) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Signature schemes
+# Ed25519, the one signature algorithm accepted
 # ---------------------------------------------------------------------------
 
 
-class Ed25519Scheme:
-    """Ed25519 over raw 32-byte keys, hex-encoded at rest."""
-
-    name = "ed25519"
-
-    def generate(self) -> tuple[str, str]:
-        key = Ed25519PrivateKey.generate()
-        secret = key.private_bytes(
-            serialization.Encoding.Raw,
-            serialization.PrivateFormat.Raw,
-            serialization.NoEncryption(),
-        )
-        public = key.public_key().public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw
-        )
-        return secret.hex(), public.hex()
-
-    def sign(self, secret_hex: str, message: bytes) -> str:
-        try:
-            return _ed25519_signing_key(secret_hex).sign(message).hex()
-        except (ValueError, TypeError) as exc:
-            raise SigningFailure(f"unusable ed25519 secret key: {exc}") from exc
-
-    def verify(self, public_hex: str, message: bytes, sig_hex: str) -> bool:
-        try:
-            key = Ed25519PublicKey.from_public_bytes(bytes.fromhex(public_hex))
-            key.verify(bytes.fromhex(sig_hex), message)
-            return True
-        except (ValueError, TypeError, InvalidSignature):
-            return False
+def _check_alg(alg: str) -> None:
+    """An allow-list of one: a record's ``alg`` can name no other
+    verifier (RFC 8725 section 3.1)."""
+    if alg != DEFAULT_SIGNATURE_ALG:
+        raise UnknownAlgorithm(f"unsupported signature algorithm {alg!r}")
 
 
 @functools.lru_cache(maxsize=32)
@@ -159,14 +134,15 @@ def _ed25519_signing_key(secret_hex: str) -> Ed25519PrivateKey:
     return Ed25519PrivateKey.from_private_bytes(bytes.fromhex(secret_hex))
 
 
-_SCHEMES: dict[str, Ed25519Scheme] = {Ed25519Scheme.name: Ed25519Scheme()}
-
-
-def _scheme_for(alg: str):
+def _ed25519_verify(public_hex: str, message: bytes, sig_hex: str) -> bool:
+    """True iff ``sig_hex`` signs ``message`` under ``public_hex``; False
+    also for a key or signature that is not hex of the right length."""
     try:
-        return _SCHEMES[alg]
-    except KeyError:
-        raise UnknownAlgorithm(f"unregistered signature algorithm {alg!r}") from None
+        key = Ed25519PublicKey.from_public_bytes(bytes.fromhex(public_hex))
+        key.verify(bytes.fromhex(sig_hex), message)
+        return True
+    except (ValueError, TypeError, InvalidSignature):
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +204,14 @@ class KeyPair:
 
 
 def generate_keypair(key_id: str, alg: str = DEFAULT_SIGNATURE_ALG) -> KeyPair:
-    secret, public = _scheme_for(alg).generate()
-    return KeyPair(key_id=key_id, alg=alg, public=public, secret=secret)
+    """A fresh Ed25519 key pair: raw 32-byte keys, hex-encoded at rest."""
+    _check_alg(alg)
+    key = Ed25519PrivateKey.generate()
+    secret = key.private_bytes(serialization.Encoding.Raw, serialization.PrivateFormat.Raw,
+                               serialization.NoEncryption())
+    public = key.public_key().public_bytes(serialization.Encoding.Raw,
+                                           serialization.PublicFormat.Raw)
+    return KeyPair(key_id=key_id, alg=alg, public=public.hex(), secret=secret.hex())
 
 
 def sign_payload(payload: Any, keypair: KeyPair) -> SignatureEnvelope:
@@ -238,9 +220,12 @@ def sign_payload(payload: Any, keypair: KeyPair) -> SignatureEnvelope:
     bytes, already encoded, as for ``verify_payload``."""
     if keypair.secret is None:
         raise SigningFailure(f"no secret key material for {keypair.key_id}")
-    scheme = _scheme_for(keypair.alg)
+    _check_alg(keypair.alg)
     message = payload if isinstance(payload, bytes) else canonicalize(payload)
-    sig = scheme.sign(keypair.secret, message)
+    try:
+        sig = _ed25519_signing_key(keypair.secret).sign(message).hex()
+    except (ValueError, TypeError) as exc:
+        raise SigningFailure(f"unusable ed25519 secret key: {exc}") from exc
     return SignatureEnvelope(alg=keypair.alg, key_id=keypair.key_id, sig=sig)
 
 
@@ -305,18 +290,19 @@ def verify_payload(payload: Any, envelope: SignatureEnvelope, public_hex: str) -
     ``payload`` may also be those canonical bytes, already encoded;
     bytes are never canonicalizable, so the two cannot be confused.
     Any mutation of payload or signature yields False, never an error;
-    only an unregistered algorithm raises. Each outcome is remembered in
-    a bounded process-wide cache keyed on the exact bytes checked.
+    only an algorithm other than Ed25519 raises. Each outcome is
+    remembered in a bounded process-wide cache keyed on the exact bytes
+    checked.
     """
-    scheme = _scheme_for(envelope.alg)
+    _check_alg(envelope.alg)
     message = payload if isinstance(payload, bytes) else canonicalize(payload)
-    # Only hex strings can verify; other types go straight to the scheme.
+    # Only hex strings can verify; other types go straight to Ed25519.
     if not (isinstance(public_hex, str) and isinstance(envelope.sig, str)):
-        return scheme.verify(public_hex, message, envelope.sig)
+        return _ed25519_verify(public_hex, message, envelope.sig)
     key = _VerifiedCache.key(envelope.alg, public_hex, envelope.sig, message)
     outcome = _VERIFIED.hit(key)
     if outcome is None:
-        outcome = scheme.verify(public_hex, message, envelope.sig)
+        outcome = _ed25519_verify(public_hex, message, envelope.sig)
         _VERIFIED.add(key, outcome)
     return outcome
 

@@ -355,7 +355,7 @@ class Attestation:
             raise ValueError("valid_from must precede valid_until")
 
     def valid_at(self, now: int) -> bool:
-        return self.valid_from <= now <= self.valid_until
+        return lapse_reason(self, (), now) is None
 
 
 @signed_record("agreement", signer="provider_id")
@@ -379,6 +379,28 @@ class Agreement:
         _check_epoch(self, "agreed_at")
 
 
+def lapse_reason(att: Attestation, revoked: Collection[str], now: int) -> Optional[str]:
+    """Why ``att`` does not count at ``now``, in the words ``decide``
+    reports; None while it is unrevoked and inside its validity window."""
+    if att.attestation_id in revoked:
+        return f"revoked attestation {att.attestation_id} ignored"
+    if now > att.valid_until:
+        return f"expired attestation {att.attestation_id} ignored"
+    if now < att.valid_from:
+        return f"attestation {att.attestation_id} not yet valid; ignored"
+    return None
+
+
+def counted_level(claim: Optional[TrustClaim], counted: Iterable[Attestation]) -> AssuranceLevel:
+    """The level ``claim`` reaches with attestations that count: each
+    capped at the claimed level, never below SELF_ASSERTED; UNASSERTED
+    with no valid claim."""
+    if claim is None:
+        return AssuranceLevel.UNASSERTED
+    return max([AssuranceLevel.SELF_ASSERTED,
+                *(min(att.level_assured, claim.level_claimed) for att in counted)])
+
+
 def effective_level(
     claim: Optional[TrustClaim],
     attestations: Iterable[Attestation],
@@ -394,13 +416,5 @@ def effective_level(
     validity window, and is capped at the claimed level; with no claim
     there is nothing to attest, and the result is UNASSERTED.
     """
-    if claim is None:
-        return AssuranceLevel.UNASSERTED
-    best = int(AssuranceLevel.SELF_ASSERTED)
-    for att in attestations:
-        if att.attestation_id in revoked:
-            continue
-        if not att.valid_at(now):
-            continue
-        best = max(best, min(int(att.level_assured), int(claim.level_claimed)))
-    return AssuranceLevel(best)
+    return counted_level(
+        claim, [att for att in attestations if lapse_reason(att, revoked, now) is None])

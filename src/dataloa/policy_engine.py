@@ -15,7 +15,7 @@ from typing import Collection, Mapping
 
 from .connector import VerifiedAsset
 from .errors import UnknownRiskClass
-from .model import AssuranceLevel, effective_level
+from .model import AssuranceLevel, counted_level, lapse_reason
 
 
 class RiskClass(str, Enum):
@@ -147,25 +147,22 @@ def decide(
 
     The effective level is recomputed here from the verified claim and
     attestations, so revocations and expiry observed at decision time
-    always win over whatever the catalog said.
+    always win over whatever the catalog said. Each attestation either
+    counts or gives its ``lapse_reason``; ``revoked`` is read as given.
     """
     risk = RiskClass.from_value(risk)
-    required = policy.required_level(risk)
-    revoked = frozenset(revoked)
+    required = policy.risk_to_min_level[risk]
 
     claim = vasset.asset.claim if vasset.claim_valid else None
     counted = []
     reasons: list[str] = []
     for att in vasset.valid_attestations:
-        if att.attestation_id in revoked:
-            reasons.append(f"revoked attestation {att.attestation_id} ignored")
-        elif now > att.valid_until:
-            reasons.append(f"expired attestation {att.attestation_id} ignored")
-        elif now < att.valid_from:
-            reasons.append(f"attestation {att.attestation_id} not yet valid; ignored")
-        else:
+        reason = lapse_reason(att, revoked, now)
+        if reason is None:
             counted.append(att)
-    effective = effective_level(claim, counted, revoked, now)
+        else:
+            reasons.append(reason)
+    effective = counted_level(claim, counted)
 
     if effective >= required:
         verdict = Verdict.ACCEPT

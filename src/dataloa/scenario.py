@@ -138,8 +138,8 @@ def parse_scenario(data: Mapping) -> Scenario:
     except MalformedInput as exc:
         raise ScenarioParseError(str(exc)) from None
 
+    _unique(_names(doc["actors"], "actors", "name"), "actor names")
     actors = doc["actors"] = tuple(ScenarioActor(**a) for a in doc["actors"])
-    _unique([a.name for a in actors], "actor names")
     providers = {a.name for a in actors if a.role is ActorRole.PROVIDER}
     consumers = {a.name for a in actors if a.role is ActorRole.CONSUMER}
     assurers = {a.name for a in actors if a.role is ActorRole.ASSURER}
@@ -150,8 +150,10 @@ def parse_scenario(data: Mapping) -> Scenario:
     if not consumers:
         raise ScenarioParseError("scenario requires at least one consumer actor")
 
-    dataset_ids = _unique([d["dataset_id"] for d in doc["datasets"]], "dataset ids")
-    claim_refs = _unique([c["ref"] for c in doc["claims"]], "claim refs")
+    dataset_ids = _unique(_names(doc["datasets"], "datasets", "dataset_id"), "dataset ids")
+    claim_refs = _unique(_names(doc["claims"], "claims", "ref"), "claim refs")
+    for i, audit in enumerate(doc["audits"]):
+        _names(audit["evidence"], f"audits[{i}].evidence", "kind")
     _known(doc, "datasets", "provider", providers)
     _known(doc, "claims", "dataset", dataset_ids)
     _known(doc, "audits", "claim", claim_refs)
@@ -169,6 +171,14 @@ def parse_scenario(data: Mapping) -> Scenario:
             raise ScenarioParseError(f"{where}: unknown consumers {unknown}")
 
     return Scenario(actions=doc.pop("consumer_actions"), **doc)
+
+
+def _names(entries: tuple[dict, ...], section: str, field: str) -> list[str]:
+    """The ``field`` of each entry, refusing an empty one by its path."""
+    for i, entry in enumerate(entries):
+        if not entry[field]:
+            raise ScenarioParseError(f"scenario.{section}[{i}].{field}: must be non-empty")
+    return [entry[field] for entry in entries]
 
 
 def _unique(names: list[str], what: str) -> set[str]:

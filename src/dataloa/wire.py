@@ -44,6 +44,7 @@ from .errors import (
     error_for_wire_code,
     wire_code_for,
 )
+from .model import Attestation, TrustClaim
 
 CONTENT_HASH_HEADER = "X-Content-Hash"
 JSON_CONTENT_TYPE = "application/json"
@@ -151,7 +152,9 @@ class _ProviderCalls:
 
 class _AssuranceCalls:
     """A garbled answer is MalformedCatalog, never read as an outcome or
-    as "nothing revoked"."""
+    as "nothing revoked". A passed audit's attestation must parse, bind
+    the claim sent and carry the level asked for; its signature is left
+    to the caller, which holds the assurer's key."""
 
     _routes = ASSURANCE_ROUTES
 
@@ -161,6 +164,15 @@ class _AssuranceCalls:
         })
         if not isinstance(outcome, dict) or not isinstance(outcome.get("passed"), bool):
             raise MalformedCatalog(f"no audit outcome from {self._origin}")
+        if outcome["passed"]:
+            try:
+                attestation = Attestation.from_dict(outcome["attestation"])
+                claim_hash = TrustClaim.from_dict(claim).canonical_hash()
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MalformedCatalog(f"no attestation from {self._origin}: {exc!r}") from exc
+            if (attestation.claim_hash, attestation.level_assured) != (claim_hash, requested_level):
+                raise MalformedCatalog(
+                    f"attestation from {self._origin} is not for the claim and level sent")
         return outcome
 
     def get_revocations(self) -> list[dict]:

@@ -44,7 +44,7 @@ from dataloa.errors import (
     NotFinalized,
     UnknownSession,
 )
-from dataloa.model import AssuranceLevel, TrustClaim, make_actor_id
+from dataloa.model import AssuranceLevel, TrustClaim, effective_level, make_actor_id
 from dataloa.wire import LocalProviderTransport
 
 from conftest import CONSUMER_ID, NOW, PAYLOAD, PROVIDER_ID, catalog_lines, spy_replace
@@ -407,6 +407,12 @@ class _StubTransport:
         return catalog_lines(self.catalog_data)
 
 
+def _effective(vasset):
+    """The effective level of a verified asset at NOW, nothing revoked."""
+    claim = vasset.asset.claim if vasset.claim_valid else None
+    return effective_level(claim, vasset.valid_attestations, frozenset(), NOW)
+
+
 def test_consumer_verifies_clean_catalog(published, consumer):
     provider, asset, _ = published
     catalog = consumer.fetch_catalog(LocalProviderTransport(provider))
@@ -415,7 +421,7 @@ def test_consumer_verifies_clean_catalog(published, consumer):
     assert vasset.claim_valid
     assert not vasset.flagged
     # level-2 claim, no attestation: effectively self-asserted
-    assert vasset.effective(frozenset(), NOW) is AssuranceLevel.SELF_ASSERTED
+    assert _effective(vasset) is AssuranceLevel.SELF_ASSERTED
 
 
 def test_consumer_flags_tampered_claim(published, consumer):
@@ -426,7 +432,7 @@ def test_consumer_flags_tampered_claim(published, consumer):
     vasset = catalog.get(asset.asset_id)
     assert vasset.flagged
     assert not vasset.claim_valid
-    assert vasset.effective(frozenset(), NOW) is AssuranceLevel.UNASSERTED
+    assert _effective(vasset) is AssuranceLevel.UNASSERTED
 
 
 def test_consumer_ignores_unbound_attestation(published, consumer, assurance,
@@ -1026,7 +1032,7 @@ def test_claim_from_another_provider_is_invalid(provider, consumer, keys):
     assert not vasset.claim_valid
     assert vasset.flagged
     assert any("claim-provider-mismatch" in p for p in vasset.problems)
-    assert vasset.effective(frozenset(), NOW) is AssuranceLevel.UNASSERTED
+    assert _effective(vasset) is AssuranceLevel.UNASSERTED
 
 
 # -- malformed negotiation responses ------------------------------------------
@@ -1059,3 +1065,46 @@ def test_malformed_negotiation_response_is_malformed_catalog(published, consumer
     vasset = consumer.fetch_catalog(transport).get(asset.asset_id)
     with pytest.raises(MalformedCatalog):
         consumer.negotiate(transport, vasset)
+
+
+# -- the finalize answer ------------------------------------------------------
+
+
+class _FinalizeLie(LocalProviderTransport):
+    """A provider transport whose finalize answer is rewritten by ``lie``,
+    given the real answer."""
+
+    def __init__(self, provider, lie):
+        super().__init__(provider)
+        self.lie = lie
+
+    def finalize_negotiation(self, session_id):
+        return self.lie(super().finalize_negotiation(session_id))
+
+
+@pytest.mark.parametrize("lie", ["session", "asset", "consumer", "agreement"])
+def test_finalize_answer_for_another_session_is_refused(published, consumer, make_claim, lie):
+    """A finalize answered with anything but the session the consumer
+    verified, finalized, is not reported as finalized."""
+    provider, asset, _ = published
+    other_payload = b"well_id,quarter\nW-009,2026Q2\n"
+    other_claim = make_claim(payload=other_payload, dataset_id="wells-2")
+    provider.publish(payload=other_payload, description="", policy=default_policy(),
+                     claim=other_claim)
+    transport = LocalProviderTransport(provider)
+    catalog = consumer.fetch_catalog(transport)
+    other = consumer.negotiate(transport, catalog.get("wells-2"))
+    assert other.finalized
+    theirs = other.session.to_dict()
+    lies = {
+        "session": lambda real: theirs,
+        "asset": lambda real: {**real, "asset_id": "wells-2"},
+        "consumer": lambda real: {**real, "consumer_id": make_actor_id("someone-else")},
+        "agreement": lambda real: {**real, "agreement": theirs["agreement"]},
+    }
+
+    outcome = consumer.negotiate(_FinalizeLie(provider, lies[lie]), catalog.get(asset.asset_id))
+    assert not outcome.finalized
+    assert outcome.refusal_reason == "finalize-session-mismatch"
+    assert outcome.session.asset_id == asset.asset_id
+    assert outcome.agreement_id != other.agreement_id

@@ -14,7 +14,6 @@ from dataloa import envelope as envelope_module
 from dataloa.connector import ConsumerConnector, default_policy
 from dataloa.envelope import (
     VERIFIED_CACHE_SIZE,
-    Ed25519Scheme,
     KeyDirectory,
     KeyPair,
     SignatureEnvelope,
@@ -190,31 +189,29 @@ def test_derived_ids_are_stable_and_content_bound():
 def ed25519_calls(monkeypatch):
     """Results of every call into the Ed25519 check, in order."""
     calls: list[bool] = []
-    real = Ed25519Scheme.verify
+    real = envelope_module._ed25519_verify
 
-    def counting(self, public_hex, message, sig_hex):
-        valid = real(self, public_hex, message, sig_hex)
+    def counting(public_hex, message, sig_hex):
+        valid = real(public_hex, message, sig_hex)
         calls.append(valid)
         return valid
 
-    monkeypatch.setattr(Ed25519Scheme, "verify", counting)
+    monkeypatch.setattr(envelope_module, "_ed25519_verify", counting)
     return calls
-
-
-class _RejectingScheme:
-    def verify(self, public_hex, message, sig_hex):
-        return False
 
 
 def _flip_first_byte(sig_hex: str) -> str:
     return ("0" if sig_hex[0] != "0" else "1") + sig_hex[1:]
 
 
-def test_cached_success_does_not_cover_mutations(monkeypatch, ed25519_calls):
+def test_cached_success_does_not_cover_mutations(ed25519_calls):
     kp = generate_keypair("urn:actor:p")
     other = generate_keypair("urn:actor:q")
     payload = {"claim_id": "c-1", "level_claimed": 2}
     env = sign_payload(payload, kp)
+    twin = SignatureEnvelope(alg="ed25519-twin", key_id=env.key_id, sig=env.sig)
+    with pytest.raises(UnknownAlgorithm):
+        verify_payload(payload, twin, kp.public)
     assert verify_payload(payload, env, kp.public) is True
     assert verify_payload(payload, env, kp.public) is True
     assert ed25519_calls == [True]
@@ -226,9 +223,9 @@ def test_cached_success_does_not_cover_mutations(monkeypatch, ed25519_calls):
     # bytes moved across the boundary between key and signature
     shifted = SignatureEnvelope(alg=env.alg, key_id=env.key_id, sig=env.sig[2:])
     assert verify_payload(payload, shifted, kp.public + env.sig[:2]) is False
-    monkeypatch.setitem(envelope_module._SCHEMES, "ed25519-twin", _RejectingScheme())
-    twin = SignatureEnvelope(alg="ed25519-twin", key_id=env.key_id, sig=env.sig)
-    assert verify_payload(payload, twin, kp.public) is False
+    # the cached ed25519 success does not answer for another algorithm
+    with pytest.raises(UnknownAlgorithm):
+        verify_payload(payload, twin, kp.public)
 
 
 def test_cache_key_fields_cannot_shift():
@@ -257,15 +254,16 @@ def test_failing_signature_is_remembered_once(monkeypatch, ed25519_calls):
     assert verify_payload({"n": 8}, forged, kp.public) is False  # message
     assert verify_payload(payload, forged, other.public) is False  # key
     assert ed25519_calls == [True, False, False]
-    monkeypatch.setitem(envelope_module._SCHEMES, "ed25519-twin", _RejectingScheme())
     twin = SignatureEnvelope(alg="ed25519-twin", key_id=env.key_id, sig=env.sig)
-    assert verify_payload(payload, twin, kp.public) is False  # algorithm
+    with pytest.raises(UnknownAlgorithm):  # algorithm
+        verify_payload(payload, twin, kp.public)
 
     ed25519_calls.clear()
     for _ in range(2):
         assert verify_payload(payload, forged, kp.public) is False
         assert verify_payload(payload, env, kp.public) is True
-        assert verify_payload(payload, twin, kp.public) is False
+        with pytest.raises(UnknownAlgorithm):
+            verify_payload(payload, twin, kp.public)
     assert ed25519_calls == []
 
 

@@ -239,3 +239,30 @@ def test_acceptance_is_downward_closed_in_risk(make_claim):
         accepts = [v is Verdict.ACCEPT for v in verdicts]
         # once rejection starts it never flips back as risk rises
         assert accepts == sorted(accepts, reverse=True)
+
+
+@pytest.mark.parametrize("risk", ["medium", "HIGH"])
+@pytest.mark.parametrize("revoked", [(), ("att-3",)])
+def test_every_call_shape_gives_one_decision(make_claim, risk, revoked):
+    """A risk given as a string or a RiskClass, and revoked ids given as
+    a set, a frozenset, a list or a tuple, decide alike: the shapes that
+    the bench, the runner and the CLI pass."""
+    claim = make_claim(level=3)
+    vasset = _vasset(claim, atts=(
+        _att(claim, level=3, att_id="att-3"),
+        _att(claim, level=2, att_id="att-2"),
+        _att(claim, level=3, valid_until=NOW - 1, att_id="att-expired"),
+        _att(claim, level=3, valid_from=NOW + 1, valid_until=NOW + 9, att_id="att-early"),
+    ))
+    policy = ConsumerPolicy.default()
+    decisions = [
+        decide(vasset, risk, policy, set(revoked), NOW),
+        decide(vasset, RiskClass.from_value(risk), policy, frozenset(revoked), NOW),
+        decide(vasset, risk, policy, list(revoked), NOW),
+        decide(vasset, RiskClass.from_value(risk), policy, revoked, NOW),
+    ]
+    assert decisions[1:] == decisions[:1] * 3
+    expected = AssuranceLevel.AUDITED if revoked else AssuranceLevel.AUDITED_HIGH
+    assert decisions[0].effective is expected
+    assert decisions[0].risk_class is RiskClass.from_value(risk)
+    assert sum("ignored" in reason for reason in decisions[0].reasons) == 2 + len(revoked)

@@ -6,10 +6,12 @@ import copy
 import json
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
-from dataloa.errors import ScenarioParseError
+from dataloa.assurance import AssuranceService
+from dataloa.errors import MalformedCatalog, ScenarioParseError
 from dataloa.scenario import (
     MODES,
     ScenarioRunner,
@@ -113,6 +115,19 @@ def _set(path: tuple, value):
     return mutate
 
 
+def _rename(old: str, new: str):
+    """A mutation of a scenario document: every string ``old`` in it,
+    the name and each reference to it, replaced by ``new``."""
+    def walk(node):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in list(items):
+            if value == old:
+                node[key] = new
+            elif isinstance(value, (dict, list)):
+                walk(value)
+    return walk
+
+
 # One-field changes to a bundled scenario, each refused at parse time
 # with the path of the field at fault. At the parent each one ran, or
 # failed at run time, or was refused under another name.
@@ -139,6 +154,13 @@ ONE_FIELD_CHANGES = {
                                   "audits[0].expect_pass"),
     "unknown-expected-state": (_set(("consumer_actions", 4, "expect_state"), "BOGUS"),
                                "consumer_actions[4].expect_state"),
+    # empty names, blanked wherever they are named
+    "empty-actor-name": (_rename("metro-water", ""), "actors[1].name: must be non-empty"),
+    "empty-dataset-id": (_rename("groundwater-2026", ""),
+                         "datasets[0].dataset_id: must be non-empty"),
+    "empty-claim-ref": (_rename("c1", ""), "claims[0].ref: must be non-empty"),
+    "empty-evidence-kind": (_set(("audits", 0, "evidence", 1, "kind"), ""),
+                            "audits[0].evidence[1].kind: must be non-empty"),
 }
 
 
@@ -220,6 +242,17 @@ def _run(data: dict, tmp_path, **kwargs):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
     return run_scenario(str(path), **kwargs)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_passed_audit_without_an_attestation_is_malformed(monkeypatch, mode):
+    """An assurer answering ``{"passed": true, "attestation": null}``
+    stops the run with a typed error, not a raw TypeError."""
+    real = AssuranceService.handle_audit
+    monkeypatch.setattr(AssuranceService, "handle_audit",
+                        lambda *args: replace(real(*args), attestation=None))
+    with pytest.raises(MalformedCatalog):
+        run_scenario("poc_audited", mode=mode)
 
 
 def test_reject_skips_negotiation(tmp_path):

@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import urllib.parse
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -862,6 +863,37 @@ def test_audit_response_body_is_the_outcome(assurance_http, make_claim, make_man
         got_status, _, raw = _call(http.base_url, "POST", "/audits", request)
         local = LocalAssuranceTransport(assurance).request_audit(*request.values())
         assert (got_status, json.loads(raw)) == (status, local)
+
+
+# A passed audit's attestation rewritten by a lying assurer.
+AUDIT_LIES = {
+    "attestation-null": lambda att: None,
+    "attestation-not-an-object": lambda att: "attested",
+    "field-missing": lambda att: {k: v for k, v in att.items() if k != "valid_until"},
+    "field-retyped": lambda att: {**att, "valid_from": "now"},
+    "another-claim": lambda att: {**att, "claim_hash": "0" * 64},
+    "another-level": lambda att: {**att, "level_assured": 3},
+}
+
+
+@pytest.mark.parametrize("lie", sorted(AUDIT_LIES))
+@pytest.mark.parametrize("mode", ["in-process", "http"])
+def test_passed_audit_without_its_attestation_is_malformed(mode, lie, assurance, monkeypatch,
+                                                           make_claim, make_manifest):
+    """A passed audit is used only with an attestation that parses, binds
+    the claim sent and carries the level asked for, in both modes."""
+    real = assurance.handle_audit
+    monkeypatch.setattr(assurance, "handle_audit", lambda *args: replace(
+        real(*args), attestation=AUDIT_LIES[lie](real(*args).attestation)))
+    claim = make_claim(level=3)
+    request = (claim.to_dict(), make_manifest(claim).to_dict(), 2)
+    with contextlib.ExitStack() as stack:
+        transport = LocalAssuranceTransport(assurance)
+        if mode == "http":
+            server = stack.enter_context(AssuranceHTTPServer(assurance))
+            transport = stack.enter_context(HttpAssuranceTransport(server.base_url))
+        with pytest.raises(MalformedCatalog):
+            transport.request_audit(*request)
 
 
 def test_threads_sharing_a_transport_get_their_own_responses(provider_http):
