@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .envelope import KeyDirectory, KeyPair, _VerifiedCache, content_hash, derived_id, hash_of
 from .errors import (
@@ -154,11 +154,26 @@ class Asset:
         )
 
 
+class _Listing(tuple):
+    """A catalog's assets, with the asset lines of its body (each
+    ``public_json`` and a ``\n``) encoded on first use. A provider keeps
+    one per snapshot of its asset map, so a GET of an unchanged catalog
+    writes only its header."""
+
+    @cached_property
+    def lines(self) -> bytes:
+        return "".join([a.public_json + "\n" for a in self]).encode()
+
+
 @dataclass(frozen=True)
 class Catalog:
     provider_id: str
     assets: tuple[Asset, ...]
     issued_at: int
+
+    def __post_init__(self):
+        if type(self.assets) is not _Listing:
+            object.__setattr__(self, "assets", _Listing(self.assets))
 
     def to_dict(self, public: bool = True) -> dict:
         return {
@@ -171,9 +186,10 @@ class Catalog:
         """The public catalog as JSON Lines, the body ``GET /catalog``
         sends: a header object ``{"provider_id", "issued_at"}``, then each
         asset's cached ``public_json``, one per line, every line ending
-        in ``\n``. ``ConsumerConnector.fetch_catalog`` reads it."""
+        in ``\n``; the asset lines are joined once per listing.
+        ``ConsumerConnector.fetch_catalog`` reads it."""
         header = json.dumps({"provider_id": self.provider_id, "issued_at": self.issued_at})
-        return "\n".join([header, *(a.public_json for a in self.assets), ""]).encode()
+        return b"%s\n%s" % (header.encode(), self.assets.lines)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +307,8 @@ class InMemoryDataSource:
 class ProviderConnector:
     """Provider-side connector: catalog, negotiations, transfers.
 
-    Catalog mutations copy-on-write the asset map. One lock guards every
+    Catalog mutations copy-on-write the asset map, and catalog() lists
+    each version of the map once. One lock guards every
     other mutation: session ids, and each session's read -> step ->
     write, so two finalizes of one session cannot both succeed.
     """
@@ -308,6 +325,8 @@ class ProviderConnector:
         self.data_source = data_source or InMemoryDataSource()
         self._clock = clock or (lambda: int(time.time()))
         self._assets: dict[str, Asset] = {}
+        # (asset map, its listing): the last version of the map catalog() saw
+        self._listing: tuple[dict[str, Asset], _Listing] = (self._assets, _Listing())
         self._sessions: dict[str, NegotiationSession] = {}
         self._agreements: dict[str, str] = {}  # agreement_id -> session_id
         self._session_seq: dict[tuple[str, str], int] = {}
@@ -374,12 +393,15 @@ class ProviderConnector:
         return asset
 
     def catalog(self) -> Catalog:
+        """The catalog as of now. The map's identity is its version: the
+        listing of a snapshot is built on the first call that sees it,
+        never in publish, and serves every call until the next publish."""
         assets = self._assets  # snapshot; map is replaced, never mutated
-        return Catalog(
-            provider_id=self.actor_id,
-            assets=tuple(assets[k] for k in sorted(assets)),
-            issued_at=self.now(),
-        )
+        listed, listing = self._listing
+        if listed is not assets:
+            listing = _Listing(assets[k] for k in sorted(assets))
+            self._listing = (assets, listing)
+        return Catalog(provider_id=self.actor_id, assets=listing, issued_at=self.now())
 
     def get_asset(self, asset_id: str) -> Optional[Asset]:
         return self._assets.get(asset_id)
@@ -528,6 +550,16 @@ class NegotiationOutcome:
         return self.session.agreement.agreement_id if self.session.agreement else None
 
 
+class _LastCatalog(NamedTuple):
+    """The last catalog a consumer verified, with every input its result
+    depends on besides the assets' own bytes."""
+
+    lines: memoryview  # the asset lines, every byte of its body after the header line
+    provider_id: str  # the header's
+    signer_keys: frozenset[tuple[str, Optional[str]]]  # (signer id, key each check used)
+    assets: tuple[VerifiedAsset, ...]
+
+
 class ConsumerConnector:
     """Consumer-side connector: catalog verification, negotiation, and
     integrity-checked transfer.
@@ -543,6 +575,13 @@ class ConsumerConnector:
     signature (RFC 8032). So when all those inputs match, the remembered
     result is the answer a full check would give; any added, removed or
     replaced key, or another header, checks the asset again.
+
+    The same argument, applied to the whole body, lets each instance also
+    keep the last catalog it verified: a fetch whose asset lines are
+    byte-equal to that catalog's, under the same header ``provider_id``
+    and the same key for every signer those lines name, returns its
+    assets under the fresh header, having compared bytes and looked up
+    keys but parsed nothing. Time and revocations are left to ``decide``.
     """
 
     def __init__(self, consumer_id: str, keys: KeyDirectory, clock=None):
@@ -550,42 +589,69 @@ class ConsumerConnector:
         self.keys = keys
         self._clock = clock or (lambda: int(time.time()))
         self._parsed = _VerifiedCache(PARSED_ASSETS_SIZE)
+        self._last: Optional[_LastCatalog] = None
 
     def now(self) -> int:
         return int(self._clock())
 
     def fetch_catalog(self, transport) -> VerifiedCatalog:
         """Pull a provider's catalog and verify every claim and
-        attestation signature; nothing from the wire is trusted as-is. An
-        asset whose line, header ``provider_id`` and signer keys all match
-        its memo entry reuses the result of its last check.
+        attestation signature; nothing from the wire is trusted as-is.
+        When the asset lines, the header ``provider_id`` and the key held
+        for every signer they name are those of the last catalog this
+        consumer verified, its assets are reused whole; otherwise an
+        asset whose line, header ``provider_id`` and signer keys all
+        match its memo entry reuses the result of its last check.
 
         The body is ``Catalog.public_lines``: a header object, then one
         asset per line. Each line must be one UTF-8 JSON value; the
         final line may end in ``\n``, and a blank line is malformed.
         """
-        header, *lines = transport.get_catalog().removesuffix(b"\n").split(b"\n")
+        raw = transport.get_catalog()
+        end = raw.find(b"\n")
+        header = raw[:end] if end >= 0 else raw
         try:
             head = json.loads(header.decode("utf-8"))
             provider_id, issued_at = head["provider_id"], head["issued_at"]
             if not isinstance(provider_id, str) or type(issued_at) is not int:
                 raise MalformedCatalog("catalog header needs a str provider_id, int issued_at")
-            entries = [self._parse_asset(line) for line in lines]
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise MalformedCatalog(f"catalog response not parseable: {exc}") from exc
         key_for = self.keys.public_key_for
+        last = self._last
+        # Compared and kept in place: a copy of a large body costs more
+        # than the comparison.
+        if (last is not None and len(raw) == len(header) + 1 + len(last.lines)
+                and raw.endswith(last.lines) and provider_id == last.provider_id
+                and all(key_for(signer) == key for signer, key in last.signer_keys)):
+            return VerifiedCatalog(provider_id=provider_id, issued_at=issued_at, assets=last.assets)
+        lines = raw.split(b"\n")[1:]
+        if lines and not lines[-1]:  # the newline that ends the last line
+            lines.pop()
+        try:
+            entries = [self._parse_asset(line) for line in lines]
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise MalformedCatalog(f"catalog response not parseable: {exc}") from exc
         verified = []
+        # (signer id, key) for every key a result below was checked under;
+        # a key replaced mid-fetch leaves two pairs, which no later fetch matches
+        held: set[tuple[str, Optional[str]]] = set()
         try:
             for key, (asset, inputs, vasset) in entries:
-                signer_keys = (provider_id, key_for(asset.claim.provider_id),
-                               *[key_for(att.assurer_id) for att in asset.attestation_refs])
+                signers = (asset.claim.provider_id,
+                           *[att.assurer_id for att in asset.attestation_refs])
+                signer_keys = (provider_id, *map(key_for, signers))
                 if signer_keys != inputs:
                     vasset = self._verify_asset(asset, provider_id)
                     self._parsed.add(key, (asset, signer_keys, vasset))
                 verified.append(vasset)
+                held.update(zip(signers, signer_keys[1:]))
         except UnicodeEncodeError as exc:  # a lone surrogate in a signed string
             raise MalformedCatalog(f"catalog record not encodable as UTF-8: {exc}") from exc
-        return VerifiedCatalog(provider_id=provider_id, issued_at=issued_at, assets=tuple(verified))
+        assets = tuple(verified)
+        self._last = _LastCatalog(memoryview(raw)[len(header) + 1:], provider_id,
+                                  frozenset(held), assets)
+        return VerifiedCatalog(provider_id=provider_id, issued_at=issued_at, assets=assets)
 
     def _parse_asset(self, line: bytes) -> tuple[bytes, tuple]:
         """The SHA-256 digest of one catalog line and its memo entry

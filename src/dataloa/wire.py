@@ -51,6 +51,10 @@ JSON_CONTENT_TYPE = "application/json"
 CATALOG_CONTENT_TYPE = "application/jsonl"  # JSON Lines, one asset per line
 PAYLOAD_CONTENT_TYPE = "application/octet-stream"
 AUDIT_FAILED = 422  # the status of an audit outcome that did not pass
+# The largest request body a server reads. The largest a client sends is
+# an audit of a claim and its evidence manifest, about 1.2 KB in the
+# bundled scenarios and the benchmark.
+MAX_BODY_BYTES = 1 << 20
 
 
 class _Route(NamedTuple):
@@ -154,7 +158,9 @@ class _AssuranceCalls:
     """A garbled answer is MalformedCatalog, never read as an outcome or
     as "nothing revoked". A passed audit's attestation must parse, bind
     the claim sent and carry the level asked for; its signature is left
-    to the caller, which holds the assurer's key."""
+    to the caller, which holds the assurer's key. A failed audit must say
+    why: a list of string missing_kinds, a bool claim_cap_violation and a
+    string reason."""
 
     _routes = ASSURANCE_ROUTES
 
@@ -173,6 +179,11 @@ class _AssuranceCalls:
             if (attestation.claim_hash, attestation.level_assured) != (claim_hash, requested_level):
                 raise MalformedCatalog(
                     f"attestation from {self._origin} is not for the claim and level sent")
+        elif not (isinstance(kinds := outcome.get("missing_kinds"), list)
+                  and all(isinstance(kind, str) for kind in kinds)
+                  and isinstance(outcome.get("claim_cap_violation"), bool)
+                  and isinstance(outcome.get("reason"), str)):
+            raise MalformedCatalog(f"failed audit from {self._origin} does not say why")
         return outcome
 
     def get_revocations(self) -> list[dict]:
@@ -217,6 +228,10 @@ class LocalAssuranceTransport(_AssuranceCalls):
 
 
 _HTTP_1X = re.compile(rb"HTTP/1\.[0-9]")
+
+
+class _BodyTooLarge(MalformedInput):
+    """A declared body longer than MAX_BODY_BYTES, answered 413."""
 
 
 def _patterns(routes: dict[str, _Route]) -> list[tuple[re.Pattern, _Route]]:
@@ -277,8 +292,8 @@ class _QuietHandler(BaseHTTPRequestHandler):
             body = self._refuse_body() if route.body is None else self._read_json()
             ident = urllib.parse.unquote(match.group(1)) if pattern.groups else None
             self._send_result(route, _serve(route, self.server.actor, ident, body))
-        except MalformedInput as exc:  # may leave a body unread: the 400 closes
-            self.send_error(400, str(exc))
+        except MalformedInput as exc:  # may leave a body unread: the 4xx closes
+            self.send_error(413 if isinstance(exc, _BodyTooLarge) else 400, str(exc))
         except DataLoaError as exc:
             code, status = wire_code_for(exc)
             self._send_json(status, {"error": code, "message": str(exc)})
@@ -307,11 +322,14 @@ class _QuietHandler(BaseHTTPRequestHandler):
         route's spec; MalformedInput if it is not UTF-8 JSON.
 
         With _refuse_body, the only paths by which a handler meets a
-        body, so a malformed length, encoding or shape always gets a 400
-        and never drops the connection or blocks the thread on a read to
-        end of stream.
+        body, so a malformed length, encoding or shape always gets a 400,
+        and a length above MAX_BODY_BYTES a 413, and never drops the
+        connection, allocates the declared length or blocks the thread on
+        a read to end of stream.
         """
         length = self._body_length()
+        if length > MAX_BODY_BYTES:  # refused before a byte of it is read
+            raise _BodyTooLarge(f"body of {length} bytes, more than {MAX_BODY_BYTES}")
         body = self.rfile.read(length) if length else b"{}"
         try:
             return json.loads(body.decode("utf-8"))

@@ -6,7 +6,9 @@ other header or key checks the asset again, as a fresh consumer would."""
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import itertools
 import sys
 import threading
 from types import SimpleNamespace
@@ -19,6 +21,7 @@ from dataloa.connector import (
     ConsumerConnector,
     Permission,
     Policy,
+    ProviderConnector,
     default_policy,
 )
 from dataloa.envelope import KeyDirectory, SignatureEnvelope, generate_keypair
@@ -343,3 +346,86 @@ def test_threads_sharing_a_consumer_get_equal_catalogs(monkeypatch, provider, ke
     assert len(results) == 15
     assert all(catalog == expected for catalog in results)
     assert len(consumer._parsed) <= 2
+
+
+@contextlib.contextmanager
+def _serving(provider, monkeypatch, mode):
+    """A transport to provider, in process or over HTTP, and a list whose
+    one item is the catalog body that provider serves."""
+    served = [provider.catalog().public_lines()]
+    monkeypatch.setattr(provider, "catalog", lambda: SimpleNamespace(public_lines=lambda: served[0]))
+    if mode == "local":
+        yield LocalProviderTransport(provider), served
+        return
+    with ProviderHTTPServer(provider) as server, HttpProviderTransport(server.base_url) as http:
+        yield http, served
+
+
+@pytest.mark.parametrize("mode", ["local", "http"])
+def test_repeat_fetch_of_unchanged_lines_reads_no_line(monkeypatch, provider, keys, make_claim,
+                                                       mode):
+    """A repeat fetch of the same asset lines under a fresh header returns
+    the kept assets under that header, having split and looked up no
+    line."""
+    ticking = ProviderConnector(provider.provider_key, keys, clock=itertools.count(NOW).__next__)
+    for index in range(3):
+        ticking.publish(payload=PAYLOAD, description="", policy=default_policy(),
+                        claim=make_claim(dataset_id=f"wells-{index}"))
+    read: list[bytes] = []
+    real = ConsumerConnector._parse_asset
+    monkeypatch.setattr(ConsumerConnector, "_parse_asset",
+                        lambda self, line: read.append(line) or real(self, line))
+    consumer = _fresh(keys)
+    with contextlib.ExitStack() as stack:
+        transport = LocalProviderTransport(ticking)
+        if mode == "http":
+            server = stack.enter_context(ProviderHTTPServer(ticking))
+            transport = stack.enter_context(HttpProviderTransport(server.base_url))
+        first = consumer.fetch_catalog(transport)
+        assert len(read) == 3
+        read.clear()
+        again = [consumer.fetch_catalog(transport) for _ in range(2)]
+    assert read == []
+    assert [c.issued_at for c in again] == [first.issued_at + 1, first.issued_at + 2]
+    assert all(c.assets == first.assets and c.provider_id == PROVIDER_ID for c in again)
+    assert not any(vasset.flagged for vasset in first.assets)
+
+
+@pytest.mark.parametrize("mode", ["local", "http"])
+def test_kept_catalog_is_not_reused_when_an_input_changes(monkeypatch, attested_provider, keys,
+                                                          mode):
+    """One changed byte in a line, another header provider_id, or an
+    added, removed or replaced signer key each gives what a fresh
+    consumer gets; the pristine catalog then comes back unflagged."""
+    header, asset, _ = attested_provider.catalog().public_lines().split(b"\n")
+    pristine = header + b"\n" + asset + b"\n"
+    public = {actor: keys.signer_for(actor).public_only() for actor in (PROVIDER_ID, ASSURER_ID)}
+    other_provider = {**public, PROVIDER_ID: generate_keypair(PROVIDER_ID).public_only()}
+    changes = [
+        # (body, the consumer's keys, (description, claim_valid, valid attestations))
+        (pristine.replace(b"well data", b"well dbta"), public, ("well dbta", True, 1)),
+        (pristine.replace(PROVIDER_ID.encode(), b"urn:actor:other", 1), public,
+         ("well data", False, 1)),
+        (pristine, {ASSURER_ID: public[ASSURER_ID]}, ("well data", False, 1)),
+        (pristine, {PROVIDER_ID: public[PROVIDER_ID]}, ("well data", True, 0)),
+        (pristine, other_provider, ("well data", False, 1)),
+        (pristine, {**public, ASSURER_ID: generate_keypair(ASSURER_ID).public_only()},
+         ("well data", True, 0)),
+    ]
+    warm = _fresh(KeyDirectory(public))
+    with _serving(attested_provider, monkeypatch, mode) as (transport, served):
+        for body, directory, seen in changes:
+            served[0], warm.keys = pristine, KeyDirectory(public)
+            assert not warm.fetch_catalog(transport).assets[0].flagged
+            served[0], warm.keys = body, KeyDirectory(directory)
+            for _ in range(2):
+                catalog = warm.fetch_catalog(transport)
+                assert catalog == _fresh(KeyDirectory(directory)).fetch_catalog(transport)
+                vasset = catalog.assets[0]
+                assert (vasset.asset.description, vasset.claim_valid,
+                        len(vasset.valid_attestations)) == seen
+        # a key added to the very directory the consumer holds
+        served[0], warm.keys = pristine, KeyDirectory({ASSURER_ID: public[ASSURER_ID]})
+        assert not warm.fetch_catalog(transport).assets[0].claim_valid
+        warm.keys.add(public[PROVIDER_ID])
+        assert warm.fetch_catalog(transport).assets[0].claim_valid

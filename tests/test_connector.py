@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -21,6 +22,7 @@ from dataloa.connector import (
     ABSORBING_STATES,
     TRANSITIONS,
     Agreement,
+    Asset,
     ConsumerConnector,
     FileProviderStore,
     NegotiationEvent,
@@ -45,7 +47,7 @@ from dataloa.errors import (
     UnknownSession,
 )
 from dataloa.model import AssuranceLevel, TrustClaim, effective_level, make_actor_id
-from dataloa.wire import LocalProviderTransport
+from dataloa.wire import HttpProviderTransport, LocalProviderTransport, ProviderHTTPServer
 
 from conftest import CONSUMER_ID, NOW, PAYLOAD, PROVIDER_ID, catalog_lines, spy_replace
 
@@ -494,6 +496,103 @@ def test_fetch_canonicalizes_each_claim_once(monkeypatch, provider, consumer, as
         assert encoded == expected
 
 
+@contextlib.contextmanager
+def _provider_transport(provider, mode):
+    """A transport to provider: in process, or through a live HTTP server."""
+    if mode == "local":
+        yield LocalProviderTransport(provider)
+        return
+    with ProviderHTTPServer(provider) as server, HttpProviderTransport(server.base_url) as http:
+        yield http
+
+
+@pytest.mark.parametrize("mode", ["local", "http"])
+def test_publish_between_two_gets_is_listed(published, make_claim, mode):
+    provider, _, _ = published
+    with _provider_transport(provider, mode) as transport:
+        first = transport.get_catalog()
+        assert first == provider.catalog().public_lines()
+        provider.publish(payload=PAYLOAD, description="more wells", policy=default_policy(),
+                         claim=make_claim(dataset_id="wells-2"))
+        second = transport.get_catalog()
+    assert second == provider.catalog().public_lines()
+    assert second.startswith(first)  # wells-2 sorts after wells-1
+    assert [json.loads(line)["asset_id"] for line in second.split(b"\n")[1:-1]] == [
+        "wells-1", "wells-2"]
+
+
+def test_listing_encodes_each_asset_once(provider, make_claim, monkeypatch):
+    """publish encodes nothing; the first listing after it encodes each
+    new asset once, and a repeat encodes nothing."""
+    encoded = []
+    real = Asset.to_dict
+
+    def counting(asset, public=True):
+        encoded.append(asset.asset_id)
+        return real(asset, public)
+
+    monkeypatch.setattr(Asset, "to_dict", counting)
+    claims = [make_claim(dataset_id=f"wells-{index}") for index in range(6)]
+    for claim in claims[:5]:
+        provider.publish(payload=PAYLOAD, description="", policy=default_policy(), claim=claim)
+    assert encoded == []
+    body = provider.catalog().public_lines()
+    assert sorted(encoded) == [f"wells-{index}" for index in range(5)]
+    assert provider.catalog().public_lines() == body
+    assert len(encoded) == 5
+    provider.publish(payload=PAYLOAD, description="", policy=default_policy(), claim=claims[5])
+    assert len(provider.catalog().public_lines().split(b"\n")) == 8
+    assert encoded[5:] == ["wells-5"]
+
+
+def test_gets_during_publishes_each_list_one_snapshot(provider, make_claim):
+    """Two threads publish while a third reads the catalog through the
+    in-process transport, with thread switches forced often. Every body
+    read is the catalog of one snapshot: a prefix of each publisher's
+    assets, in id order, each line the asset's own encoding."""
+    batches = [[make_claim(dataset_id=f"wells-{side}-{index:02d}") for index in range(12)]
+               for side in "ab"]
+    start = threading.Barrier(3)
+    publishing = [True, True]
+    bodies: list[bytes] = []
+
+    def publish(side: int) -> None:
+        start.wait(timeout=5)
+        for claim in batches[side]:
+            provider.publish(payload=PAYLOAD, description="", policy=default_policy(),
+                             claim=claim)
+        publishing[side] = False
+
+    def read() -> None:
+        transport = LocalProviderTransport(provider)
+        start.wait(timeout=5)
+        while any(publishing):
+            bodies.append(transport.get_catalog())
+        bodies.append(transport.get_catalog())
+
+    threads = [threading.Thread(target=publish, args=(side,)) for side in (0, 1)]
+    threads.append(threading.Thread(target=read))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    header = json.dumps({"provider_id": PROVIDER_ID, "issued_at": NOW}).encode()
+    prefixes = [{tuple(c.dataset_id for c in batch[:n]) for n in range(13)} for batch in batches]
+    for body in bodies:
+        ids = sorted(json.loads(line)["asset_id"] for line in body.split(b"\n")[1:-1])
+        for side, prefix in zip("ab", prefixes):
+            assert tuple(i for i in ids if i.startswith(f"wells-{side}")) in prefix
+        assert body == header + b"\n" + b"".join(
+            provider.get_asset(i).public_json.encode() + b"\n" for i in ids)
+    assert len(bodies[-1].split(b"\n")) == 26
+
+
 def test_consumer_rejects_malformed_catalog(consumer):
     with pytest.raises(MalformedCatalog):
         consumer.fetch_catalog(_StubTransport({"assets": "not-a-list"}))
@@ -547,6 +646,37 @@ def test_header_only_catalog_has_no_assets(published, consumer):
     for body in (header, header + b"\n"):
         catalog = consumer.fetch_catalog(_body_transport(body))
         assert (catalog.provider_id, catalog.issued_at, catalog.assets) == (PROVIDER_ID, NOW, ())
+
+
+@pytest.mark.parametrize("mode", ["local", "http"])
+def test_warm_consumer_frames_every_body_as_a_cold_one(published, consumer, monkeypatch, mode):
+    """After a successful fetch, whose catalog the consumer keeps, each
+    malformed body is still refused and each header-only body still lists
+    no asset, in process and over HTTP."""
+    provider, _, _ = published
+    header, asset = _lines(published)
+    good = provider.catalog().public_lines()
+    served = [good]
+    monkeypatch.setattr(provider, "catalog", lambda: SimpleNamespace(public_lines=lambda: served[0]))
+    malformed = {case: make(header, asset) for case, make in MALFORMED_LINES.items()}
+    malformed["header-then-blank"] = header + b"\n\n"
+    with _provider_transport(provider, mode) as transport:
+        for case, body in sorted(malformed.items()):
+            served[0] = good
+            assert [a.asset.asset_id for a in consumer.fetch_catalog(transport).assets] == [
+                "wells-1"]
+            served[0] = body
+            for _ in range(2):
+                with pytest.raises(MalformedCatalog):
+                    consumer.fetch_catalog(transport)
+        for body in (header, header + b"\n"):
+            served[0] = good
+            assert len(consumer.fetch_catalog(transport).assets) == 1
+            served[0] = body
+            for _ in range(2):
+                catalog = consumer.fetch_catalog(transport)
+                assert (catalog.provider_id, catalog.issued_at, catalog.assets) == (
+                    PROVIDER_ID, NOW, ())
 
 
 @pytest.mark.parametrize("path,field", [

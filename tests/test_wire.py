@@ -33,6 +33,7 @@ from dataloa.wire import (
     ASSURANCE_ROUTES,
     CATALOG_CONTENT_TYPE,
     CONTENT_HASH_HEADER,
+    MAX_BODY_BYTES,
     PROVIDER_ROUTES,
     AssuranceHTTPServer,
     HttpAssuranceTransport,
@@ -894,6 +895,69 @@ def test_passed_audit_without_its_attestation_is_malformed(mode, lie, assurance,
             transport = stack.enter_context(HttpAssuranceTransport(server.base_url))
         with pytest.raises(MalformedCatalog):
             transport.request_audit(*request)
+
+
+# A failed audit's answer rewritten by a lying assurer.
+FAILED_AUDIT_LIES = {
+    "passed-only": lambda outcome: {"passed": False},
+    "kinds-missing": lambda outcome: {k: v for k, v in outcome.items() if k != "missing_kinds"},
+    "kinds-a-string": lambda outcome: {**outcome, "missing_kinds": "quality-report"},
+    "kind-not-a-string": lambda outcome: {**outcome, "missing_kinds": [1]},
+    "reason-missing": lambda outcome: {k: v for k, v in outcome.items() if k != "reason"},
+    "reason-a-list": lambda outcome: {**outcome, "reason": ["claim-cap"]},
+    "cap-violation-missing": lambda outcome: {
+        k: v for k, v in outcome.items() if k != "claim_cap_violation"},
+}
+
+
+@pytest.mark.parametrize("lie", sorted(FAILED_AUDIT_LIES))
+@pytest.mark.parametrize("mode", ["in-process", "http"])
+def test_failed_audit_without_its_reasons_is_malformed(mode, lie, assurance, monkeypatch,
+                                                       make_claim, make_manifest):
+    """A failed audit is reported only with its missing kinds, its claim
+    cap flag and its reason, in both modes; the untouched answer passes."""
+    real = assurance.handle_audit
+    claim = make_claim(level=2)
+    request = (claim.to_dict(), make_manifest(claim, kinds=("quality-report",)).to_dict(), 2)
+    with contextlib.ExitStack() as stack:
+        transport = LocalAssuranceTransport(assurance)
+        if mode == "http":
+            server = stack.enter_context(AssuranceHTTPServer(assurance))
+            transport = stack.enter_context(HttpAssuranceTransport(server.base_url))
+        honest = transport.request_audit(*request)
+        assert honest["passed"] is False and honest["missing_kinds"] == ["provenance-record"]
+        monkeypatch.setattr(assurance, "handle_audit", lambda *args: SimpleNamespace(
+            to_dict=lambda: FAILED_AUDIT_LIES[lie](real(*args).to_dict())))
+        with pytest.raises(MalformedCatalog):
+            transport.request_audit(*request)
+
+
+@pytest.mark.parametrize("role, path", [("provider", "/negotiations"), ("assurance", "/audits")])
+def test_body_longer_than_the_cap_gets_413_before_it_is_read(role, path, published, assurance):
+    """A declared length above MAX_BODY_BYTES, with no byte of the body
+    sent, gets one 413 on a closed connection: the server neither waits
+    for the body nor sizes a buffer by the declared length."""
+    server_cls, actor = ((ProviderHTTPServer, published[0]) if role == "provider"
+                         else (AssuranceHTTPServer, assurance))
+    request = (f"POST {path} HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+               f"Content-Length: {10**12}\r\n\r\n").encode()
+    with server_cls(actor) as server:
+        assert _exchange(server.base_url, request) == ([413], True)
+        status, headers, body = _one_reply(server.base_url, request)
+        assert _call(server.base_url, "GET", "/catalog" if role == "provider"
+                     else "/revocations")[0] == 200  # and the server serves on
+    assert (status, headers["connection"]) == (413, "close")
+    assert str(MAX_BODY_BYTES) in json.loads(body)["message"]
+
+
+def test_body_at_the_cap_is_read(assurance):
+    """MAX_BODY_BYTES itself is within the cap: such a body is read and
+    answered by its content, here a 400 for a field it does not know."""
+    body = json.dumps({"padding": "x" * (MAX_BODY_BYTES - 15)}).encode()
+    assert len(body) == MAX_BODY_BYTES
+    with AssuranceHTTPServer(assurance) as server:
+        status, reply = _raw_post(server.base_url, "/audits", _sized(body), body)
+    assert (status, reply["error"]) == (400, "bad_request")
 
 
 def test_threads_sharing_a_transport_get_their_own_responses(provider_http):
